@@ -32,22 +32,24 @@ let pool_jobs = function Some p -> Runtime.Pool.jobs p | None -> 1
    machine-readable BENCH_<n>.json at exit for the bench trajectory. *)
 let perf_log : Stats.Perf.t list ref = ref []
 
-let emit_perf perf =
-  perf_log := !perf_log @ [ perf ];
+(* Append a PERF record to [log] and print it, human-readable and as
+   the machine line. *)
+let emit_to log perf =
+  log := !log @ [ perf ];
   Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf)
 
+let emit_perf = emit_to perf_log
+
+(* One record per line: CI counts records with [grep -c]. *)
 let write_json path records =
   match records with
   | [] -> ()
   | records ->
+    let lines =
+      List.map (fun r -> Stats.Json.to_string (Stats.Perf.to_json r)) records
+    in
     let oc = open_out path in
-    output_string oc "[\n";
-    List.iteri
-      (fun i r ->
-        if i > 0 then output_string oc ",\n";
-        output_string oc ("  " ^ Stats.Perf.to_json r))
-      records;
-    output_string oc "\n]\n";
+    output_string oc ("[\n  " ^ String.concat ",\n  " lines ^ "\n]\n");
     close_out oc;
     Fmt.pr "@.Wrote %s (%d record%s)@." path (List.length records)
       (if List.length records = 1 then "" else "s")
@@ -373,10 +375,7 @@ let tables ?pool () =
   section "tables - Table I-III sweep kernel (writes BENCH_3.json)";
   let guard = Hw.Attack.While_not_a in
   let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  let emit = emit_to records in
   let leg name jobs pool =
     let t1, p1 =
       Stats.Perf.time ~label:("tables-t1-" ^ name) ~jobs ~items:0 (fun () ->
@@ -451,10 +450,7 @@ let fig2_workload_sweeps =
 let scaling () =
   section "scaling - fig2 sweep kernel at --jobs 1,2,4,8 (writes BENCH_6.json)";
   let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  let emit = emit_to records in
   let leg jobs =
     let with_p pool =
       Option.iter Runtime.Pool.reset_stats pool;
@@ -474,8 +470,7 @@ let scaling () =
            (Stats.Perf.with_memo ~executed ~memoized perf));
       results
     in
-    if jobs = 1 then with_p None
-    else Runtime.Pool.with_pool ~jobs (fun p -> with_p (Some p))
+    Runtime.Pool.with_jobs jobs with_p
   in
   let baseline = leg 1 in
   let identical =
@@ -511,10 +506,7 @@ let exhaust_bench () =
   let spec = Exhaust.Campaign.spec_of_image ~name:"guard_loop" compiled.image in
   let config = Exhaust.Campaign.default_config () in
   let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  let emit = emit_to records in
   let leg jobs =
     let with_p pool =
       let result, perf =
@@ -530,8 +522,7 @@ let exhaust_bench () =
       emit perf;
       result
     in
-    if jobs = 1 then with_p None
-    else Runtime.Pool.with_pool ~jobs (fun p -> with_p (Some p))
+    Runtime.Pool.with_jobs jobs with_p
   in
   let base = leg 1 in
   Fmt.pr
@@ -569,10 +560,7 @@ let absint_bench () =
   section
     "absint - static pre-pruner + fault-flow prover (writes BENCH_9.json)";
   let records = ref [] in
-  let emit r =
-    records := !records @ [ r ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp r (Stats.Perf.machine_line r)
-  in
+  let emit = emit_to records in
   (* static pre-pruner on the guard-loop exhaust workload *)
   let compiled =
     Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
@@ -598,8 +586,7 @@ let absint_bench () =
              ~static_pruned:result.Exhaust.Campaign.static_pruned);
       result
     in
-    if jobs = 1 then run None
-    else Runtime.Pool.with_pool ~jobs (fun p -> run (Some p))
+    Runtime.Pool.with_jobs jobs run
   in
   let plain =
     leg "absint-off" 1 { config with Exhaust.Campaign.static_prune = false }
@@ -937,8 +924,7 @@ let defenses ?pool ~quick () =
            with_pool_perf ?pool
              { perf with Stats.Perf.items = attempts; executed = attempts }
          in
-         records := !records @ [ perf ];
-         Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+         emit_to records perf;
          [ label;
            Fmt.str "%d (%a)" single.successes Stats.Rate.pp_pct
              (Resistor.Evaluate.success_rate single);
@@ -984,8 +970,7 @@ let analysis () =
         Stats.Perf.items = surface.Analysis.Surface.total_flips;
         executed = surface.Analysis.Surface.total_flips }
     in
-    records := !records @ [ perf ];
-    Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+    emit_to records perf;
     Fmt.pr "  %s: %d error(s), %d warning(s), %d instruction(s), %.1f%% control@."
       name
       (Analysis.Lint.count Analysis.Lint.Error report)
@@ -1031,8 +1016,7 @@ let fuzz ~quick () =
       in
       let run = List.hd summary.Gen.Fuzz.runs in
       let perf = { perf with Stats.Perf.executed = run.Gen.Fuzz.checked } in
-      records := !records @ [ perf ];
-      Fmt.pr "@.%a@.%s@." Stats.Perf.pp perf (Stats.Perf.machine_line perf);
+      emit_to records perf;
       Fmt.pr "  %-14s %d generated, %d checked, %d skipped: %s@." name count
         run.Gen.Fuzz.checked run.Gen.Fuzz.skipped
         (match run.Gen.Fuzz.failure with
@@ -1159,7 +1143,7 @@ let () =
   let jobs = Option.value jobs ~default:(Runtime.Pool.default_jobs ()) in
   let args = List.filter (fun a -> a <> "--quick" && a <> "--") args in
   (* jobs = 1 keeps every experiment on the original sequential path *)
-  let pool = if jobs > 1 then Some (Runtime.Pool.create ~jobs ()) else None in
+  Runtime.Pool.with_jobs jobs @@ fun pool ->
   let experiments =
     [ ("fig2", fig2 ?pool ?cache); ("fig2x", fig2x ?pool);
       ("table1", table1 ?pool);
@@ -1197,5 +1181,4 @@ let () =
         | Some f -> f ()
         | None -> usage ())
       names);
-  write_perf_json "BENCH_2.json";
-  Option.iter Runtime.Pool.shutdown pool
+  write_perf_json "BENCH_2.json"

@@ -31,11 +31,32 @@ let exit_internal = 1
 let exit_input = 2
 let exit_findings = 3
 
+let print_json (j : Stats.Json.t) = print_endline (Stats.Json.to_string j)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Run a subcommand on a source file. An error in the source — assembly
+   syntax, Mini-C syntax or types, layout, code generation — is invalid
+   input whichever stage raises it; any other exception is a bug. *)
+let with_source file f =
+  let input pp e =
+    Fmt.epr "%s: %a@." file pp e;
+    exit_input
+  in
+  match f () with
+  | code -> code
+  | exception Thumb.Asm.Parse_error e -> input Thumb.Asm.pp_error e
+  | exception Minic.Parser.Error e -> input Minic.Parser.pp_error e
+  | exception Minic.Sema.Error e -> input Minic.Sema.pp_error e
+  | exception Lower.Layout.Error e -> input Lower.Layout.pp_error e
+  | exception Lower.Codegen.Error e -> input Lower.Codegen.pp_error e
+  | exception e ->
+    Fmt.epr "%s: internal error: %s@." file (Printexc.to_string e);
+    exit_internal
 
 (* --- shared argument parsers -------------------------------------------- *)
 
@@ -125,11 +146,6 @@ let cache_dir_arg =
            already cached are served without executing anything; \
            corrupted entries are treated as misses.")
 
-(* jobs = 1 must not spawn domains: it is the original sequential path *)
-let with_jobs jobs f =
-  if jobs > 1 then Runtime.Pool.with_pool ~jobs (fun pool -> f (Some pool))
-  else f None
-
 (* Fold the pool's queue-wait/utilization accounting into a PERF
    record, so pool overhead shows up in the machine lines instead of
    having to be inferred from scaling curves. *)
@@ -148,17 +164,13 @@ let with_pool_perf ~jobs pool perf =
 let asm_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    match Thumb.Asm.assemble (read_file file) with
-    | instrs ->
-      List.iteri
-        (fun i ins ->
-          Fmt.pr "%4d:  %04x  %a@." (2 * i) (Thumb.Encode.instr ins)
-            Thumb.Instr.pp ins)
-        instrs;
-      0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
+    with_source file @@ fun () ->
+    List.iteri
+      (fun i ins ->
+        Fmt.pr "%4d:  %04x  %a@." (2 * i) (Thumb.Encode.instr ins)
+          Thumb.Instr.pp ins)
+      (Thumb.Asm.assemble (read_file file));
+    0
   in
   Cmd.v (Cmd.info "asm" ~doc:"Assemble a Thumb-16 source file and list it.")
     Term.(const run $ file)
@@ -193,14 +205,11 @@ let run_cmd =
     Arg.(value & opt int 100_000 & info [ "max-steps" ] ~docv:"N")
   in
   let run file steps =
-    match Machine.Loader.load_asm (read_file file) with
-    | t ->
-      let stop = Machine.Exec.run ~max_steps:steps t.mem t.cpu in
-      Fmt.pr "stopped: %a@.%a@." Machine.Exec.pp_stop stop Machine.Cpu.pp t.cpu;
-      0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
+    with_source file @@ fun () ->
+    let t = Machine.Loader.load_asm (read_file file) in
+    let stop = Machine.Exec.run ~max_steps:steps t.mem t.cpu in
+    Fmt.pr "stopped: %a@.%a@." Machine.Exec.pp_stop stop Machine.Cpu.pp t.cpu;
+    0
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Assemble and execute a program on the bare machine.")
@@ -248,7 +257,7 @@ let emulate_cmd =
       | Some cond ->
         let case = Glitch_emu.Testcase.conditional_branch cond in
         let result, status =
-          with_jobs jobs (fun pool ->
+          Runtime.Pool.with_jobs jobs (fun pool ->
               let cache = Option.map Cache.open_dir cache_dir in
               let svc = Service.create ?pool ?cache () in
               Service.run_case svc
@@ -306,52 +315,37 @@ let compile_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let dump = Arg.(value & flag & info [ "dump" ] ~doc:"Disassemble the image.") in
   let run file config sensitive dump =
+    with_source file @@ fun () ->
     let config = with_sensitive config sensitive in
-    match Resistor.Driver.compile config (read_file file) with
-    | compiled ->
-      Fmt.pr "defenses: %s@." (Resistor.Config.name config);
+    let compiled = Resistor.Driver.compile config (read_file file) in
+    Fmt.pr "defenses: %s@." (Resistor.Config.name config);
+    List.iter
+      (fun (section, bytes) -> Fmt.pr "  %-6s %6d bytes@." section bytes)
+      (Lower.Layout.size_report compiled.image);
+    (match compiled.reports.enum_report with
+    | Some r ->
       List.iter
-        (fun (section, bytes) -> Fmt.pr "  %-6s %6d bytes@." section bytes)
-        (Lower.Layout.size_report compiled.image);
-      (match compiled.reports.enum_report with
-      | Some r ->
-        List.iter
-          (fun (name, values) ->
-            Fmt.pr "  enum %s diversified (%d members)@." name
-              (List.length values))
-          r.rewritten
-      | None -> ());
-      (match compiled.reports.returns_report with
-      | Some r ->
-        Fmt.pr "  return codes: %d of %d considered functions diversified@."
-          (List.length r.instrumented) r.considered
-      | None -> ());
-      (match compiled.reports.branches_report with
-      | Some r -> Fmt.pr "  %d conditional branches duplicated@." r.branches_instrumented
-      | None -> ());
-      (match compiled.reports.loops_report with
-      | Some r -> Fmt.pr "  %d loop guards duplicated@." r.loops_instrumented
-      | None -> ());
-      (match compiled.reports.delay_report with
-      | Some r -> Fmt.pr "  %d random-delay sites@." r.sites
-      | None -> ());
-      if dump then print_string (Lower.Objdump.to_string compiled.image);
-      0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
-    | exception e ->
-      Fmt.epr "compile failed: %s@." (Printexc.to_string e);
-      exit_internal
+        (fun (name, values) ->
+          Fmt.pr "  enum %s diversified (%d members)@." name
+            (List.length values))
+        r.rewritten
+    | None -> ());
+    (match compiled.reports.returns_report with
+    | Some r ->
+      Fmt.pr "  return codes: %d of %d considered functions diversified@."
+        (List.length r.instrumented) r.considered
+    | None -> ());
+    (match compiled.reports.branches_report with
+    | Some r -> Fmt.pr "  %d conditional branches duplicated@." r.branches_instrumented
+    | None -> ());
+    (match compiled.reports.loops_report with
+    | Some r -> Fmt.pr "  %d loop guards duplicated@." r.loops_instrumented
+    | None -> ());
+    (match compiled.reports.delay_report with
+    | Some r -> Fmt.pr "  %d random-delay sites@." r.sites
+    | None -> ());
+    if dump then print_string (Lower.Objdump.to_string compiled.image);
+    0
   in
   Cmd.v
     (Cmd.info "compile"
@@ -380,13 +374,14 @@ let attack_cmd =
   in
   let step = Arg.(value & opt int 1 & info [ "step" ] ~docv:"N") in
   let run file config sensitive attack step jobs =
+    with_source file @@ fun () ->
     let config = with_sensitive config sensitive in
     let source = read_file file in
     (* reuse the Table VI machinery on arbitrary firmware: it only needs
        a trigger, the attack-marker global, and the detection counter *)
     let compiled = Resistor.Driver.compile config source in
     match
-      with_jobs jobs (fun pool ->
+      Runtime.Pool.with_jobs jobs (fun pool ->
           let o, perf =
             Stats.Perf.time ~label:"attack" ~jobs ~items:0 (fun () ->
                 Resistor.Evaluate.run_image ?pool ~sweep_step:step
@@ -405,12 +400,6 @@ let attack_cmd =
         o.detections;
       Fmt.pr "%s@." (Stats.Perf.machine_line perf);
       0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
     | exception Invalid_argument _ ->
       Fmt.epr "firmware never raised the trigger (call __trigger_high())@.";
       exit_input
@@ -452,7 +441,7 @@ let table_cmd =
       let perf = with_pool_perf ~jobs pool perf in
       Fmt.pr "%s@." (Stats.Perf.machine_line { perf with Stats.Perf.label; jobs })
     in
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_jobs jobs (fun pool ->
         match n with
         | 1 ->
           let t, perf =
@@ -580,7 +569,8 @@ let lint_cmd =
         Resistor.Sigcfi.disable_checks := false;
         Resistor.Domains.disable_checks := false)
     @@ fun () ->
-    let target () =
+    with_source file @@ fun () ->
+    let target =
       if Filename.check_suffix file ".s" then
         Analysis.Lint.of_instrs (Thumb.Asm.assemble (read_file file))
       else if cfcss then begin
@@ -606,59 +596,46 @@ let lint_cmd =
           (Resistor.Driver.compile (with_sensitive config sensitive)
              (read_file file))
     in
-    match target () with
-    | target ->
-      let report = Analysis.Lint.run target in
-      let report =
-        if not absint then report
-        else
-          let prove =
-            Absint.Prove.run ?config:target.Analysis.Lint.config
-              ?reports:target.Analysis.Lint.reports
-              ?modul:target.Analysis.Lint.modul target.Analysis.Lint.image
-          in
-          { report with
-            Analysis.Lint.diags = Absint.Prove.refine_lint report prove }
-      in
-      let agreement =
-        if not exhaust then None
-        else
-          let spec =
-            Exhaust.Campaign.spec_of_image ~name:(Filename.basename file)
-              target.Analysis.Lint.image
-          in
-          let config = Exhaust.Campaign.default_config () in
-          let result =
-            with_jobs jobs (fun pool -> Exhaust.Campaign.run ?pool spec config)
-          in
-          let baseline, _stop = Exhaust.Campaign.baseline spec config in
-          Some
-            (Exhaust.Agreement.of_result ~baseline
-               report.Analysis.Lint.surface result)
-      in
-      (match (json, agreement) with
-      | true, None -> print_endline (Analysis.Lint.to_json report)
-      | true, Some a ->
-        Printf.printf {|{"lint":%s,"agreement":%s}|}
-          (Analysis.Lint.to_json report)
-          (Exhaust.Agreement.to_json a);
-        print_newline ()
-      | false, None -> Fmt.pr "%a@." Analysis.Lint.pp report
-      | false, Some a ->
-        Fmt.pr "%a@.%a" Analysis.Lint.pp report Exhaust.Agreement.pp a);
-      if Analysis.Lint.errors report <> [] then exit_findings else 0
-    | exception Thumb.Asm.Parse_error e ->
-      Fmt.epr "%s: %a@." file Thumb.Asm.pp_error e;
-      exit_input
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
+    let report = Analysis.Lint.run target in
+    let report =
+      if not absint then report
+      else
+        let prove =
+          Absint.Prove.run ?config:target.Analysis.Lint.config
+            ?reports:target.Analysis.Lint.reports
+            ?modul:target.Analysis.Lint.modul target.Analysis.Lint.image
+        in
+        { report with
+          Analysis.Lint.diags = Absint.Prove.refine_lint report prove }
+    in
+    let agreement =
+      if not exhaust then None
+      else
+        let spec =
+          Exhaust.Campaign.spec_of_image ~name:(Filename.basename file)
+            target.Analysis.Lint.image
+        in
+        let config = Exhaust.Campaign.default_config () in
+        let result =
+          Runtime.Pool.with_jobs jobs (fun pool ->
+              Exhaust.Campaign.run ?pool spec config)
+        in
+        let baseline, _stop = Exhaust.Campaign.baseline spec config in
+        Some
+          (Exhaust.Agreement.of_result ~baseline
+             report.Analysis.Lint.surface result)
+    in
+    (match (json, agreement) with
+    | true, None -> print_json (Analysis.Lint.to_json report)
+    | true, Some a ->
+      print_json
+        (Stats.Json.Obj
+           [ ("lint", Analysis.Lint.to_json report);
+             ("agreement", Exhaust.Agreement.to_json a) ])
+    | false, None -> Fmt.pr "%a@." Analysis.Lint.pp report
+    | false, Some a ->
+      Fmt.pr "%a@.%a" Analysis.Lint.pp report Exhaust.Agreement.pp a);
+    if Analysis.Lint.errors report <> [] then exit_findings else 0
   in
   Cmd.v
     (Cmd.info "lint"
@@ -685,29 +662,17 @@ let prove_cmd =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
   let run file config sensitive json =
-    match
+    with_source file @@ fun () ->
+    let compiled =
       Resistor.Driver.compile (with_sensitive config sensitive) (read_file file)
-    with
-    | compiled ->
-      let report =
-        Absint.Prove.run ~config:compiled.Resistor.Driver.config
-          ~reports:compiled.reports ~modul:compiled.modul compiled.image
-      in
-      if json then print_endline (Absint.Prove.to_json report)
-      else Fmt.pr "%a" Absint.Prove.pp report;
-      if Absint.Prove.errors report <> [] then exit_findings else 0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
+    in
+    let report =
+      Absint.Prove.run ~config:compiled.Resistor.Driver.config
+        ~reports:compiled.reports ~modul:compiled.modul compiled.image
+    in
+    if json then print_json (Absint.Prove.to_json report)
+    else Fmt.pr "%a" Absint.Prove.pp report;
+    if Absint.Prove.errors report <> [] then exit_findings else 0
   in
   Cmd.v
     (Cmd.info "prove"
@@ -770,7 +735,7 @@ let run_exhaust ?static ?settle ~label compiled mode max_trace cycles jobs
     cache_dir =
   let spec = Exhaust.Campaign.spec_of_image ~name:label compiled.Resistor.Driver.image in
   let config = exhaust_config ?static ?settle mode max_trace cycles in
-  with_jobs jobs (fun pool ->
+  Runtime.Pool.with_jobs jobs (fun pool ->
       let cache = Option.map Cache.open_dir cache_dir in
       let (result, hit), perf =
         Stats.Perf.time ~label:"exhaust" ~jobs ~items:0 (fun () ->
@@ -869,33 +834,21 @@ let exhaust_cmd =
   in
   let run file config sensitive mode max_trace cycles json static settle jobs
       cache_dir =
+    with_source file @@ fun () ->
     let config = with_sensitive config sensitive in
-    match Resistor.Driver.compile config (read_file file) with
-    | compiled ->
-      let result, hit, perf =
-        run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
-          mode max_trace cycles jobs cache_dir
-      in
-      if json then print_endline (Exhaust.Campaign.to_json result)
-      else begin
-        Fmt.pr "%a" pp_exhaust_result result;
-        if cache_dir <> None then
-          Fmt.pr "cache: %s@." (if hit then "hit" else "miss");
-        Fmt.pr "%s@." (Stats.Perf.machine_line perf)
-      end;
-      0
-    | exception Minic.Parser.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Parser.pp_error e;
-      exit_input
-    | exception Minic.Sema.Error e ->
-      Fmt.epr "%s: %a@." file Minic.Sema.pp_error e;
-      exit_input
-    | exception Lower.Layout.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Layout.pp_error e;
-      exit_input
-    | exception Lower.Codegen.Error e ->
-      Fmt.epr "%s: %a@." file Lower.Codegen.pp_error e;
-      exit_input
+    let compiled = Resistor.Driver.compile config (read_file file) in
+    let result, hit, perf =
+      run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
+        mode max_trace cycles jobs cache_dir
+    in
+    if json then print_json (Exhaust.Campaign.to_json result)
+    else begin
+      Fmt.pr "%a" pp_exhaust_result result;
+      if cache_dir <> None then
+        Fmt.pr "cache: %s@." (if hit then "hit" else "miss");
+      Fmt.pr "%s@." (Stats.Perf.machine_line perf)
+    end;
+    0
   in
   Cmd.v
     (Cmd.info "exhaust"
@@ -1088,7 +1041,7 @@ let fuzz_cmd =
 let serve_cmd =
   let run jobs cache_dir =
     let cache = Option.map Cache.open_dir cache_dir in
-    with_jobs jobs (fun pool ->
+    Runtime.Pool.with_jobs jobs (fun pool ->
         let svc = Service.create ?pool ?cache () in
         let rec loop () =
           match input_line stdin with

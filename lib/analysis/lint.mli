@@ -69,7 +69,11 @@ val errors : report -> diag list
 val warnings : report -> diag list
 val count : severity -> report -> int
 
-val to_json : report -> string
+val diag_to_json : diag -> Stats.Json.t
+(** The one JSON shape of a finding, shared by {!to_json} and
+    [Absint.Prove.to_json]. *)
+
+val to_json : report -> Stats.Json.t
 val pp_diag : diag Fmt.t
 val pp : report Fmt.t
 

@@ -184,15 +184,20 @@ let pp ppf t =
 
 let to_json t =
   let row_json row =
-    Printf.sprintf
-      {|{"fname":"%s","static_control":%.6f,"static_fault":%.6f,"static_control_reached":%.6f,"reached_insns":%d,"dyn_effect":%.6f,"dyn_fault":%.6f,"points":%d}|}
-      (String.escaped row.fname) row.static_control row.static_fault
-      row.static_control_reached row.reached_insns row.dyn_effect row.dyn_fault
-      row.points
+    Stats.Json.Obj
+      [ ("fname", String row.fname);
+        ("static_control", Fixed (6, row.static_control));
+        ("static_fault", Fixed (6, row.static_fault));
+        ("static_control_reached", Fixed (6, row.static_control_reached));
+        ("reached_insns", Int row.reached_insns);
+        ("dyn_effect", Fixed (6, row.dyn_effect));
+        ("dyn_fault", Fixed (6, row.dyn_fault));
+        ("points", Int row.points) ]
   in
-  Printf.sprintf
-    {|{"rows":[%s],"weighted":%b,"concordance":%.6f,"concordance_unweighted":%.6f,"disagreements":[%s]}|}
-    (String.concat "," (List.map row_json t.rows))
-    t.weighted t.concordance t.concordance_unweighted
-    (String.concat ","
-       (List.map (fun d -> "\"" ^ String.escaped d ^ "\"") t.disagreements))
+  Stats.Json.Obj
+    [ ("rows", List (List.map row_json t.rows));
+      ("weighted", Bool t.weighted);
+      ("concordance", Fixed (6, t.concordance));
+      ("concordance_unweighted", Fixed (6, t.concordance_unweighted));
+      ( "disagreements",
+        List (List.map (fun d -> Stats.Json.String d) t.disagreements) ) ]

@@ -34,4 +34,4 @@ val of_result :
     score carries against dynamic ground truth. *)
 
 val pp : t Fmt.t
-val to_json : t -> string
+val to_json : t -> Stats.Json.t

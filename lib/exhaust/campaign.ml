@@ -338,24 +338,37 @@ let baseline spec config =
 
 let to_json r =
   let ints a =
-    "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
+    Stats.Json.List (List.map (fun n -> Stats.Json.Int n) (Array.to_list a))
   in
   let row_json row =
-    Printf.sprintf {|{"fname":"%s","faddr":%d,"counts":%s}|}
-      (String.escaped row.fname) row.faddr (ints row.counts)
+    Stats.Json.Obj
+      [ ("fname", String row.fname);
+        ("faddr", Int row.faddr);
+        ("counts", ints row.counts) ]
   in
-  Printf.sprintf
-    {|{"spec":"%s","mode":"%s","trace_steps":%d,"baseline_stop":%s,"settle":%d,"cycle_lo":%d,"cycle_hi":%d,"points":%d,"faulted":%d,"pruned":%d,"executed":%d,"static_pruned":%d,"states":%d,"prune_rate":%.6f,"verdict_names":[%s],"totals":%s,"rows":[%s]}|}
-    (String.escaped r.spec_name) (mode_name r.mode) r.trace_steps
-    (match r.baseline_stop with
-    | None -> "null"
-    | Some s -> Printf.sprintf "%S" (Fmt.str "%a" Exec.pp_stop s))
-    r.settle r.cycle_lo r.cycle_hi r.points r.faulted r.pruned r.executed
-    r.static_pruned r.states (prune_rate r)
-    (String.concat ","
-       (List.map (fun v -> "\"" ^ verdict_name v ^ "\"") verdicts))
-    (ints r.totals)
-    (String.concat "," (List.map row_json r.rows))
+  Stats.Json.Obj
+    [ ("spec", String r.spec_name);
+      ("mode", String (mode_name r.mode));
+      ("trace_steps", Int r.trace_steps);
+      ( "baseline_stop",
+        match r.baseline_stop with
+        | None -> Null
+        | Some s -> String (Fmt.str "%a" Exec.pp_stop s) );
+      ("settle", Int r.settle);
+      ("cycle_lo", Int r.cycle_lo);
+      ("cycle_hi", Int r.cycle_hi);
+      ("points", Int r.points);
+      ("faulted", Int r.faulted);
+      ("pruned", Int r.pruned);
+      ("executed", Int r.executed);
+      ("static_pruned", Int r.static_pruned);
+      ("states", Int r.states);
+      ("prune_rate", Fixed (6, prune_rate r));
+      ( "verdict_names",
+        List
+          (List.map (fun v -> Stats.Json.String (verdict_name v)) verdicts) );
+      ("totals", ints r.totals);
+      ("rows", List (List.map row_json r.rows)) ]
 
 (* --- the injector ------------------------------------------------------- *)
 

@@ -127,7 +127,7 @@ val baseline :
     how it stopped ([None]: still running at [max_trace]). Tests use it
     to locate the cycle at which a given flash word is fetched. *)
 
-val to_json : result -> string
+val to_json : result -> Stats.Json.t
 
 val run : ?pool:Runtime.Pool.t -> spec -> config -> result
 (** Run the campaign. [rows], [totals], [points], [faulted],

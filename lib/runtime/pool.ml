@@ -246,3 +246,6 @@ let shutdown t =
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+
+let with_jobs jobs f =
+  if jobs > 1 then with_pool ~jobs (fun t -> f (Some t)) else f None

@@ -81,3 +81,8 @@ val shutdown : t -> unit
 
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], run the callback, and [shutdown] (also on exceptions). *)
+
+val with_jobs : int -> (t option -> 'a) -> 'a
+(** [with_jobs jobs f] is [f None] when [jobs <= 1] — the sequential
+    path, no domains spawned — and otherwise [f (Some pool)] inside
+    {!with_pool}. *)

@@ -2,7 +2,7 @@ open Glitch_emu
 
 (* Re-exported so protocol clients (and tests) can parse request and
    response lines with the same codec the server uses. *)
-module Json = Json
+module Json = Stats.Json
 
 (* Bump whenever the sweep semantics change (taxonomy, rig geometry,
    classification rules): cache entries written by a different code

@@ -12,7 +12,7 @@
     - {b miss} — a real sweep runs (on the pool if one was given) and
       the result is persisted for next time. *)
 
-module Json = Json
+module Json = Stats.Json
 (** The line protocol's JSON codec, re-exported for clients and tests. *)
 
 val code_version : string

@@ -85,12 +85,23 @@ let machine_line t =
       t.utilization
 
 let to_json t =
-  Printf.sprintf
-    {|{"label":"%s","jobs":%d,"items":%d,"seconds":%.6f,"rate":%.1f,"executed":%d,"memoized":%d,"hit_rate":%.6f,"pruned":%d,"prune_rate":%.6f,"static_pruned":%d,"booted_cycles":%d,"replayed_cycles":%d,"replay_rate":%.6f,"wait_s":%.6f,"utilization":%.6f}|}
-    (String.escaped t.label)
-    t.jobs t.items t.elapsed_s (throughput t) t.executed t.memoized
-    (hit_rate t) t.pruned (prune_rate t) t.static_pruned t.booted_cycles
-    t.replayed_cycles (replay_rate t) t.wait_s t.utilization
+  Json.Obj
+    [ ("label", String t.label);
+      ("jobs", Int t.jobs);
+      ("items", Int t.items);
+      ("seconds", Fixed (6, t.elapsed_s));
+      ("rate", Fixed (1, throughput t));
+      ("executed", Int t.executed);
+      ("memoized", Int t.memoized);
+      ("hit_rate", Fixed (6, hit_rate t));
+      ("pruned", Int t.pruned);
+      ("prune_rate", Fixed (6, prune_rate t));
+      ("static_pruned", Int t.static_pruned);
+      ("booted_cycles", Int t.booted_cycles);
+      ("replayed_cycles", Int t.replayed_cycles);
+      ("replay_rate", Fixed (6, replay_rate t));
+      ("wait_s", Fixed (6, t.wait_s));
+      ("utilization", Fixed (6, t.utilization)) ]
 
 let pp ppf t =
   Fmt.pf ppf "%s: %d items in %.2fs (%.0f items/s, %d job%s" t.label t.items

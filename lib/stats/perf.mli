@@ -78,9 +78,8 @@ val prune_rate : t -> float
 val machine_line : t -> string
 (** One [PERF key=value ...] line, no trailing newline. *)
 
-val to_json : t -> string
-(** One JSON object (no trailing newline), suitable for assembling into
-    a [BENCH_*.json] array. *)
+val to_json : t -> Json.t
+(** One JSON object, one line of a [BENCH_*.json] array. *)
 
 val pp : t Fmt.t
 (** Human-readable summary, e.g.

@@ -607,7 +607,7 @@ let hamming_helpers () =
 
 let json_shape () =
   let r = lint Resistor.Config.none Resistor.Firmware.guard_loop in
-  let j = Lint.to_json r in
+  let j = Stats.Json.to_string (Lint.to_json r) in
   Alcotest.(check bool) "has errors field" true
     (contains ~affix:"\"errors\":" j);
   Alcotest.(check bool) "has guard-flippable" true

@@ -306,12 +306,22 @@ let test_exit_codes () =
          marker marker)
   in
   let bad = write_tmp ".c" "int main( {\n" in
+  (* code generation rejects it: only four register arguments *)
+  let five_params =
+    write_tmp ".c"
+      "int f(int a, int b, int c, int d, int e) { return a + b + c + d + e; }\n\
+       int main() { return f(1, 2, 3, 4, 5); }\n"
+  in
   let bad_property =
     write_tmp ".c" "// property: bogus\nint main() { return 0; }\n"
   in
   let checks =
     [ ("compile ok", [ "compile"; good ], 0);
       ("compile parse error", [ "compile"; bad ], 2);
+      ("compile five parameters", [ "compile"; five_params ], 2);
+      ("attack parse error", [ "attack"; bad ], 2);
+      ("attack five parameters", [ "attack"; five_params ], 2);
+      ("lint five parameters", [ "lint"; five_params ], 2);
       ("lint clean", [ "lint"; good ], 0);
       ( "lint unguarded loop",
         [ "lint"; guarded; "--defenses=none" ],

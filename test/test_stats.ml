@@ -56,7 +56,7 @@ let perf_cycle_counters () =
   Alcotest.(check bool) "booted in PERF line" true (has "booted_cycles=25");
   Alcotest.(check bool) "replayed in PERF line" true (has "replayed_cycles=75");
   Alcotest.(check bool) "booted in json" true
-    (let line = Stats.Perf.to_json p in
+    (let line = Stats.Json.to_string (Stats.Perf.to_json p) in
      let n = "\"booted_cycles\":25" in
      let rec go i =
        i + String.length n <= String.length line
@@ -80,7 +80,7 @@ let perf_pool_counters () =
   Alcotest.(check bool) "wait in PERF line" true (contains line "wait_s=1.250");
   Alcotest.(check bool) "utilization in PERF line" true
     (contains line "utilization=0.7500");
-  let json = Stats.Perf.to_json p in
+  let json = Stats.Json.to_string (Stats.Perf.to_json p) in
   Alcotest.(check bool) "wait in json" true (contains json "\"wait_s\":1.250");
   Alcotest.(check bool) "utilization in json" true
     (contains json "\"utilization\":0.7500")
