@@ -2,7 +2,7 @@
    (DSN 2021) on the simulated substrate, plus Bechamel micro-benchmarks
    of the harness itself.
 
-     dune exec bench/main.exe                 -- everything
+     dune exec bench/main.exe                 -- every experiment "all" runs
      dune exec bench/main.exe -- fig2         -- one experiment
      dune exec bench/main.exe -- table6 --quick
      dune exec bench/main.exe -- fig2 --jobs 4
@@ -25,8 +25,6 @@ let section title =
   Fmt.pr "============================================================@."
 
 let paper_note fmt = Fmt.pr ("  [paper] " ^^ fmt ^^ "@.")
-
-let pool_jobs = function Some p -> Runtime.Pool.jobs p | None -> 1
 
 (* Every PERF record emitted during the run, newest last; dumped as a
    machine-readable BENCH_<n>.json at exit for the bench trajectory. *)
@@ -54,40 +52,62 @@ let write_json path records =
     Fmt.pr "@.Wrote %s (%d record%s)@." path (List.length records)
       (if List.length records = 1 then "" else "s")
 
-let write_perf_json path = write_json path !perf_log
+(* Run an experiment that owns a BENCH_<n>.json: [f] gets the emitter
+   for its PERF records, which land in [path] once [f] returns. *)
+let with_bench_json path f =
+  let records = ref [] in
+  f (emit_to records);
+  write_json path !records
 
-(* Fold the pool's parallel-region accounting (queue wait, worker
-   utilization) into a PERF record, then clear it so the next record
-   starts from zero. *)
-let with_pool_perf ?pool perf =
-  match pool with
-  | None -> perf
-  | Some p ->
-    let jobs = Runtime.Pool.jobs p in
-    let s = Runtime.Pool.stats p in
-    Runtime.Pool.reset_stats p;
-    Stats.Perf.with_pool_stats
-      ~wait_s:(Runtime.Pool.stats_wait ~jobs s)
-      ~utilization:(Runtime.Pool.stats_utilization ~jobs s)
-      perf
-
-(* Fold a hardware sweep's cost into a PERF record: the attempt count
-   becomes the item count, and the booted-vs-replayed cycle counters
-   record how much emulation the snapshot-replay kernel avoided. *)
-let perf_of_sweep (p : Stats.Perf.t) (s : Hw.Attack.sweep) =
-  Stats.Perf.with_cycles ~booted:s.emulated_cycles ~replayed:s.replayed_cycles
-    { p with Stats.Perf.items = s.attempts; executed = s.attempts }
+(* The jobs ladder behind tables, scaling, exhaust and absint: run
+   [leg] once per job count, each on a fresh pool (1 is the sequential
+   path), hand the first leg's result to [first] before the later legs
+   run, and report whether every later leg is [same] as the first. *)
+let jobs_ladder ?(first = ignore) ~same ladder leg =
+  let base = Runtime.Pool.with_jobs (List.hd ladder) leg in
+  first base;
+  let legs =
+    List.map (fun jobs -> Runtime.Pool.with_jobs jobs leg) (List.tl ladder)
+  in
+  (base, List.for_all (same base) legs)
 
 (* --- Figure 2: glitching effects in emulation ----------------------------- *)
 
+(* The Figure 2 workload, 62 sweeps of 2^16 masks: four fault-model
+   configs (title, summary label, config) over the 14 conditional
+   branches, then the And/Or skip supplement over the 3 non-branch
+   cases. *)
+let fig2_configs =
+  let open Glitch_emu in
+  [ ("(a) AND model (1 -> 0 flips)", "AND",
+     Campaign.default_config Fault_model.And);
+    ("(b) OR model (0 -> 1 flips)", "OR", Campaign.default_config Fault_model.Or);
+    ( "(c) AND model, 0x0000 decoded as invalid", "AND(0 invalid)",
+      { (Campaign.default_config Fault_model.And) with zero_is_invalid = true } );
+    ( "(supplement) XOR model (bidirectional flips)", "XOR",
+      Campaign.default_config Fault_model.Xor ) ]
+
+(* Run the workload through [run_case], in a fixed order so runs
+   compare bit for bit: one result list per config, then an [And; Or]
+   pair per non-branch case. *)
+let fig2_workload run_case =
+  let open Glitch_emu in
+  ( List.map
+      (fun (_, _, config) ->
+        List.map (run_case config) Testcase.all_conditional_branches)
+      fig2_configs,
+    List.map
+      (fun case ->
+        List.map
+          (fun flip -> run_case (Campaign.default_config flip) case)
+          Fault_model.[ And; Or ])
+      Testcase.non_branch_cases )
+
+let fig2_results (branches, supplement) =
+  List.concat branches @ List.concat supplement
+
 let fig2 ?pool ?cache () =
   section "Figure 2 - bit-flip effects on ARM Thumb conditional branches";
-  let cases = Glitch_emu.Testcase.all_conditional_branches in
-  let executed = ref 0 and memoized = ref 0 in
-  let tally_stats (r : Glitch_emu.Campaign.result) =
-    executed := !executed + r.stats.executed;
-    memoized := !memoized + r.stats.memoized
-  in
   (* With --cache-dir every sweep is served through the audit service:
      intact cache entries come back with zero executed cases. *)
   let svc = Option.map (fun cache -> Service.create ?pool ~cache ()) cache in
@@ -103,70 +123,40 @@ let fig2 ?pool ?cache () =
       | Service.Miss -> incr misses);
       r
   in
-  let run_all config cases =
-    match svc with
-    | None -> Glitch_emu.Campaign.run_all ?pool config cases
-    | Some _ -> List.map (run_case config) cases
+  let (branches, supplement), perf =
+    Stats.Perf.time ?pool ~label:"fig2"
+      ~count:(fun w -> Glitch_emu.Campaign.count (fig2_results w))
+      (fun () -> fig2_workload run_case)
   in
-  let run name config =
-    Fmt.pr "@.--- %s ---@." name;
-    let results = run_all config cases in
-    List.iter tally_stats results;
-    print_string (Glitch_emu.Report.outcome_table results);
-    Fmt.pr "@.Success rate by number of flipped bits:@.";
-    print_string (Glitch_emu.Report.success_by_weight_table results);
-    Fmt.pr "%s@." (Glitch_emu.Report.summary_line results);
-    Glitch_emu.Report.mean_success_rate results
+  let rates =
+    List.map2
+      (fun (title, label, _) results ->
+        Fmt.pr "@.--- %s ---@." title;
+        print_string (Glitch_emu.Report.outcome_table results);
+        Fmt.pr "@.Success rate by number of flipped bits:@.";
+        print_string (Glitch_emu.Report.success_by_weight_table results);
+        Fmt.pr "%s@." (Glitch_emu.Report.summary_line results);
+        Fmt.str "%s %.1f%%" label (Glitch_emu.Report.mean_success_rate results))
+      fig2_configs branches
   in
-  (* 4 models x 14 branches + 2 models x 3 non-branch cases, 2^16 masks
-     each — the per-sweep item count behind the PERF line *)
-  let sweeps = (4 * List.length cases) + (2 * List.length Glitch_emu.Testcase.non_branch_cases) in
-  let (), perf =
-    Stats.Perf.time ~label:"fig2" ~jobs:(pool_jobs pool) ~items:(sweeps * 65536)
-      (fun () ->
-        let and_rate =
-          run "(a) AND model (1 -> 0 flips)"
-            (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And)
-        in
-        let or_rate =
-          run "(b) OR model (0 -> 1 flips)"
-            (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.Or)
-        in
-        let and0_rate =
-          run "(c) AND model, 0x0000 decoded as invalid"
-            { (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And) with
-              zero_is_invalid = true }
-        in
-        let xor_rate =
-          run "(supplement) XOR model (bidirectional flips)"
-            (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.Xor)
-        in
-        Fmt.pr
-          "@.Summary: AND %.1f%%  OR %.1f%%  AND(0 invalid) %.1f%%  XOR %.1f%%@."
-          and_rate or_rate and0_rate xor_rate;
-        Fmt.pr "@.Supplement: skip rates for non-branch instructions (the \"skip@.";
-        Fmt.pr "every defensive instruction\" limit case):@.";
-        Stats.Table.print ~header:[ "Instr"; "AND skip %"; "OR skip %" ]
-          (List.map
-             (fun (case : Glitch_emu.Testcase.t) ->
-               let rate flip =
-                 let r =
-                   run_case (Glitch_emu.Campaign.default_config flip) case
-                 in
-                 tally_stats r;
-                 Glitch_emu.Campaign.category_percent r
-                   Glitch_emu.Campaign.Success
-               in
-               [ case.name; Fmt.str "%.1f" (rate Glitch_emu.Fault_model.And);
-                 Fmt.str "%.1f" (rate Glitch_emu.Fault_model.Or) ])
-             Glitch_emu.Testcase.non_branch_cases))
-  in
-  emit_perf
-    (with_pool_perf ?pool
-       (Stats.Perf.with_memo ~executed:!executed ~memoized:!memoized perf));
+  Fmt.pr "@.Summary: %s@." (String.concat "  " rates);
+  Fmt.pr "@.Supplement: skip rates for non-branch instructions (the \"skip@.";
+  Fmt.pr "every defensive instruction\" limit case):@.";
+  Stats.Table.print ~header:[ "Instr"; "AND skip %"; "OR skip %" ]
+    (List.map2
+       (fun (case : Glitch_emu.Testcase.t) results ->
+         case.name
+         :: List.map
+              (fun r ->
+                Fmt.str "%.1f"
+                  (Glitch_emu.Campaign.category_percent r
+                     Glitch_emu.Campaign.Success))
+              results)
+       Glitch_emu.Testcase.non_branch_cases supplement);
+  emit_perf perf;
   if Option.is_some svc then
     Fmt.pr "cache: %d hit, %d warm, %d miss (%d case(s) executed)@." !hits
-      !warms !misses !executed;
+      !warms !misses perf.executed;
   paper_note "branches skipped >60%% when flipping to 0, <30%% when flipping to 1;";
   paper_note "making 0x0000 invalid left the success rate 'effectively unchanged'."
 
@@ -243,15 +233,26 @@ let instruction_listing guard =
        "  (LDR cont.)"; "CMP R2, R3"; "B<cc> .loop"; "  (branch cont.)";
        "  (branch cont.)" |]
 
+(* Time one hardware table over every guard: the PERF counters sum the
+   per-guard [sweep]s. *)
+let time_guards ?pool ~label sweep run =
+  Stats.Perf.time ?pool ~label
+    ~count:(fun results ->
+      Hw.Attack.count
+        (List.fold_left
+           (fun acc (_, t) -> Hw.Attack.sweep_add acc (sweep t))
+           Hw.Attack.sweep_zero results))
+    (fun () -> List.map (fun guard -> (guard, run guard)) Hw.Attack.all_guards)
+
 let table1 ?pool () =
   section "Table I - successful single glitches per clock cycle";
-  let sweep = ref Hw.Attack.sweep_zero in
-  let (), perf =
-    Stats.Perf.time ~label:"table1" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+  let results, perf =
+    time_guards ?pool ~label:"table1"
+      (fun t -> t.Hw.Attack.sweep1)
+      (Hw.Attack.run_table1 ?pool)
+  in
   List.iter
-    (fun guard ->
-      let t = Hw.Attack.run_table1 ?pool guard in
-      sweep := Hw.Attack.sweep_add !sweep t.sweep1;
+    (fun (guard, (t : Hw.Attack.table1)) ->
       let listing = instruction_listing guard in
       Fmt.pr "@.--- %s (comparator r%d) ---@."
         (Hw.Attack.guard_name guard)
@@ -281,9 +282,8 @@ let table1 ?pool () =
         Stats.Rate.pp_count_pct
         (!total, 8 * t.attempts_per_cycle)
         (Hashtbl.length values_seen))
-    Hw.Attack.all_guards)
-  in
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf !sweep));
+    results;
+  emit_perf perf;
   paper_note "totals 0.705%% / 0.347%% / 0.449%%; while(!a) ~2x while(a);";
   paper_note "comparator residues included SP (0x20003FE8) and GPIO mixes."
 
@@ -292,20 +292,9 @@ let table1 ?pool () =
 let table2 ?pool () =
   section "Table II - partial vs full multi-glitch (two back-to-back loops)";
   let rows, perf =
-    Stats.Perf.time ~label:"table2" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
-        List.map
-          (fun guard ->
-            let t = Hw.Attack.run_table2 ?pool guard in
-            let p = Array.fold_left ( + ) 0 t.partial in
-            let f = Array.fold_left ( + ) 0 t.full in
-            (guard, t, p, f))
-          Hw.Attack.all_guards)
-  in
-  let sweep =
-    List.fold_left
-      (fun acc (_, (t : Hw.Attack.table2), _, _) ->
-        Hw.Attack.sweep_add acc t.sweep2)
-      Hw.Attack.sweep_zero rows
+    time_guards ?pool ~label:"table2"
+      (fun t -> t.Hw.Attack.sweep2)
+      (Hw.Attack.run_table2 ?pool)
   in
   Stats.Table.print
     ~header:
@@ -314,17 +303,19 @@ let table2 ?pool () =
     (List.init Hw.Attack.loop_cycles (fun cycle ->
          string_of_int cycle
          :: List.concat_map
-              (fun (_, (t : Hw.Attack.table2), _, _) ->
+              (fun (_, (t : Hw.Attack.table2)) ->
                 [ string_of_int t.partial.(cycle); string_of_int t.full.(cycle) ])
               rows));
   List.iter
-    (fun (guard, (t : Hw.Attack.table2), p, f) ->
+    (fun (guard, (t : Hw.Attack.table2)) ->
+      let p = Array.fold_left ( + ) 0 t.partial in
+      let f = Array.fold_left ( + ) 0 t.full in
       Fmt.pr "%s: partial %a  full %a  (x%.1f harder)@."
         (Hw.Attack.guard_name guard) Stats.Rate.pp_count_pct (p, t.attempts2)
         Stats.Rate.pp_count_pct (f, t.attempts2)
         (if f = 0 then Float.infinity else float_of_int p /. float_of_int f))
     rows;
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf sweep));
+  emit_perf perf;
   paper_note "partial 1.330%% / 0.420%% / 0.413%%, full 0.494%% / 0.068%% / 0.258%%;";
   paper_note "multi-glitch 6x / 3x / 1.6x harder than a single glitch."
 
@@ -333,10 +324,9 @@ let table2 ?pool () =
 let table3 ?pool () =
   section "Table III - long glitches (10-20 contiguous cycles)";
   let results, perf =
-    Stats.Perf.time ~label:"table3" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
-        List.map
-          (fun guard -> (guard, Hw.Attack.run_table3 ?pool guard))
-          Hw.Attack.all_guards)
+    time_guards ?pool ~label:"table3"
+      (fun t -> t.Hw.Attack.sweep3)
+      (Hw.Attack.run_table3 ?pool)
   in
   Stats.Table.print
     ~header:[ "Cycles"; "while(!a)"; "while(a)"; "while(a!=0xD3B9AEC6)" ]
@@ -355,12 +345,7 @@ let table3 ?pool () =
         Stats.Rate.pp_count_pct
         (total, t.sweep3.attempts))
     results;
-  let sweep =
-    List.fold_left
-      (fun acc (_, (t : Hw.Attack.table3)) -> Hw.Attack.sweep_add acc t.sweep3)
-      Hw.Attack.sweep_zero results
-  in
-  emit_perf (with_pool_perf ?pool (perf_of_sweep perf sweep));
+  emit_perf perf;
   paper_note "totals 0.101%% / 0.730%% / 0.0992%%: long glitches help while(a)";
   paper_note "most (aborted loads read zero) and barely help the others."
 
@@ -371,75 +356,56 @@ let table3 ?pool () =
    BENCH_3.json. The booted/replayed cycle counters quantify how much
    emulation the snapshot-replay kernel avoids; the parallel leg is
    checked bit-identical to the sequential one. *)
-let tables ?pool () =
+let tables ~jobs () =
   section "tables - Table I-III sweep kernel (writes BENCH_3.json)";
   let guard = Hw.Attack.While_not_a in
-  let records = ref [] in
-  let emit = emit_to records in
-  let leg name jobs pool =
-    let t1, p1 =
-      Stats.Perf.time ~label:("tables-t1-" ^ name) ~jobs ~items:0 (fun () ->
+  with_bench_json "BENCH_3.json" @@ fun emit ->
+  let leg pool =
+    let name =
+      match pool with
+      | None -> "seq"
+      | Some p -> Fmt.str "par%d" (Runtime.Pool.jobs p)
+    in
+    let time table sweep run =
+      let t, perf =
+        Stats.Perf.time ?pool
+          ~label:(Fmt.str "tables-%s-%s" table name)
+          ~count:(fun t -> Hw.Attack.count (sweep t))
+          run
+      in
+      emit perf;
+      t
+    in
+    let t1 =
+      time "t1" (fun t -> t.Hw.Attack.sweep1) (fun () ->
           Hw.Attack.run_table1 ?pool guard)
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p1 t1.Hw.Attack.sweep1));
-    let t2, p2 =
-      Stats.Perf.time ~label:("tables-t2-" ^ name) ~jobs ~items:0 (fun () ->
+    let t2 =
+      time "t2" (fun t -> t.Hw.Attack.sweep2) (fun () ->
           Hw.Attack.run_table2 ?pool guard)
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p2 t2.Hw.Attack.sweep2));
-    let t3, p3 =
-      Stats.Perf.time ~label:("tables-t3-" ^ name) ~jobs ~items:0 (fun () ->
+    let t3 =
+      time "t3" (fun t -> t.Hw.Attack.sweep3) (fun () ->
           Hw.Attack.run_table3 ?pool guard)
     in
-    emit (with_pool_perf ?pool (perf_of_sweep p3 t3.Hw.Attack.sweep3));
     (t1, t2, t3)
   in
-  let s1, s2, s3 = leg "seq" 1 None in
-  (match pool with
-  | Some p when Runtime.Pool.jobs p > 1 ->
-    let jobs = Runtime.Pool.jobs p in
-    let q1, q2, q3 = leg (Fmt.str "par%d" jobs) jobs pool in
-    let same =
-      s1.Hw.Attack.per_cycle = q1.Hw.Attack.per_cycle
-      && s2.Hw.Attack.partial = q2.Hw.Attack.partial
-      && s2.Hw.Attack.full = q2.Hw.Attack.full
-      && s3.Hw.Attack.windows = q3.Hw.Attack.windows
-    in
-    if same then
+  let _, identical =
+    jobs_ladder
+      ~same:(fun (s1, s2, s3) (q1, q2, q3) ->
+        s1.Hw.Attack.per_cycle = q1.Hw.Attack.per_cycle
+        && s2.Hw.Attack.partial = q2.Hw.Attack.partial
+        && s2.Hw.Attack.full = q2.Hw.Attack.full
+        && s3.Hw.Attack.windows = q3.Hw.Attack.windows)
+      (if jobs > 1 then [ 1; jobs ] else [ 1 ])
+      leg
+  in
+  if jobs > 1 then
+    if identical then
       Fmt.pr "@.parallel (%d jobs) == sequential: tables bit-identical@." jobs
     else Fmt.pr "@.WARNING: parallel tables diverge from the sequential run@."
-  | Some _ | None -> ());
-  write_json "BENCH_3.json" !records
 
 (* --- scaling: the fig2 sweep kernel across a jobs ladder ---------------------- *)
-
-(* The exact fig2 workload (62 sweeps of 2^16 masks), quietly: all four
-   model configs over the conditional branches plus the And/Or
-   non-branch supplement, results in a fixed order so legs can be
-   compared bit for bit. *)
-let fig2_workload ?pool () =
-  let cases = Glitch_emu.Testcase.all_conditional_branches in
-  let branch_configs =
-    [ Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And;
-      Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.Or;
-      { (Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.And) with
-        zero_is_invalid = true };
-      Glitch_emu.Campaign.default_config Glitch_emu.Fault_model.Xor ]
-  in
-  List.concat_map
-    (fun config -> Glitch_emu.Campaign.run_all ?pool config cases)
-    branch_configs
-  @ List.concat_map
-      (fun flip ->
-        List.map
-          (Glitch_emu.Campaign.run_case ?pool
-             (Glitch_emu.Campaign.default_config flip))
-          Glitch_emu.Testcase.non_branch_cases)
-      [ Glitch_emu.Fault_model.And; Glitch_emu.Fault_model.Or ]
-
-let fig2_workload_sweeps =
-  (4 * List.length Glitch_emu.Testcase.all_conditional_branches)
-  + (2 * List.length Glitch_emu.Testcase.non_branch_cases)
 
 (* Runs the fig2 workload at --jobs 1, 2, 4 and 8 (a fresh pool per
    leg), checks every leg's tables bit-identical to the sequential one,
@@ -449,46 +415,40 @@ let fig2_workload_sweeps =
    the evidence that the old duplicated-execution inversion is gone. *)
 let scaling () =
   section "scaling - fig2 sweep kernel at --jobs 1,2,4,8 (writes BENCH_6.json)";
-  let records = ref [] in
-  let emit = emit_to records in
-  let leg jobs =
-    let with_p pool =
-      Option.iter Runtime.Pool.reset_stats pool;
-      let results, perf =
-        Stats.Perf.time ~label:"fig2" ~jobs
-          ~items:(fig2_workload_sweeps * 65536) (fun () ->
-            fig2_workload ?pool ())
-      in
-      let executed, memoized =
-        List.fold_left
-          (fun (e, m) (r : Glitch_emu.Campaign.result) ->
-            (e + r.stats.executed, m + r.stats.memoized))
-          (0, 0) results
-      in
-      emit
-        (with_pool_perf ?pool
-           (Stats.Perf.with_memo ~executed ~memoized perf));
-      results
+  with_bench_json "BENCH_6.json" @@ fun emit ->
+  let leg pool =
+    let results, perf =
+      Stats.Perf.time ?pool ~label:"fig2" ~count:Glitch_emu.Campaign.count
+        (fun () ->
+          fig2_results (fig2_workload (Glitch_emu.Campaign.run_case ?pool)))
     in
-    Runtime.Pool.with_jobs jobs with_p
+    emit perf;
+    results
   in
-  let baseline = leg 1 in
-  let identical =
-    List.for_all
-      (fun jobs ->
-        List.for_all2
-          (fun (a : Glitch_emu.Campaign.result)
-               (b : Glitch_emu.Campaign.result) ->
-            a.by_weight = b.by_weight && a.totals = b.totals)
-          baseline (leg jobs))
-      [ 2; 4; 8 ]
+  let _, identical =
+    jobs_ladder
+      ~same:
+        (List.for_all2
+           (fun (a : Glitch_emu.Campaign.result)
+                (b : Glitch_emu.Campaign.result) ->
+             a.by_weight = b.by_weight && a.totals = b.totals))
+      [ 1; 2; 4; 8 ] leg
   in
   if identical then
     Fmt.pr "@.tables bit-identical across --jobs 1, 2, 4, 8@."
-  else Fmt.pr "@.WARNING: tables diverge across job counts@.";
-  write_json "BENCH_6.json" !records
+  else Fmt.pr "@.WARNING: tables diverge across job counts@."
 
 (* --- exhaust: trace-wide campaign across a jobs ladder ------------------------- *)
+
+(* Time one exhaustive campaign on [pool], emit its PERF record, and
+   return the result. *)
+let exhaust_leg emit ~label spec config pool =
+  let result, perf =
+    Stats.Perf.time ?pool ~label ~count:Exhaust.Campaign.count (fun () ->
+        Exhaust.Campaign.run ?pool spec config)
+  in
+  emit perf;
+  result
 
 (* The whole-image exhaustive injector on the undefended guard-loop
    firmware at --jobs 1, 2, 4, 8 (a fresh pool per leg). Every leg's
@@ -504,47 +464,30 @@ let exhaust_bench () =
     Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
   in
   let spec = Exhaust.Campaign.spec_of_image ~name:"guard_loop" compiled.image in
-  let config = Exhaust.Campaign.default_config () in
-  let records = ref [] in
-  let emit = emit_to records in
-  let leg jobs =
-    let with_p pool =
-      let result, perf =
-        Stats.Perf.time ~label:"exhaust" ~jobs ~items:0 (fun () ->
-            Exhaust.Campaign.run ?pool spec config)
-      in
-      let perf =
-        { (with_pool_perf ?pool perf) with
-          Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-      in
-      emit perf;
-      result
-    in
-    Runtime.Pool.with_jobs jobs with_p
-  in
-  let base = leg 1 in
-  Fmt.pr
-    "@.%d injection points over %d cycles: %d faulted at the injected step,@."
-    base.Exhaust.Campaign.points base.trace_steps base.faulted;
-  Fmt.pr "%d continuations executed, %d pruned (%.1f%% shared), %d distinct states@."
-    base.executed base.pruned
-    (100. *. Exhaust.Campaign.prune_rate base)
-    base.states;
-  let identical =
-    List.for_all
-      (fun jobs ->
-        let r = leg jobs in
-        r.Exhaust.Campaign.rows = base.rows
-        && r.totals = base.totals && r.points = base.points
+  with_bench_json "BENCH_7.json" @@ fun emit ->
+  let _, identical =
+    jobs_ladder
+      ~first:(fun (base : Exhaust.Campaign.result) ->
+        Fmt.pr
+          "@.%d injection points over %d cycles: %d faulted at the injected \
+           step,@."
+          base.points base.trace_steps base.faulted;
+        Fmt.pr
+          "%d continuations executed, %d pruned (%.1f%% shared), %d distinct \
+           states@."
+          base.executed base.pruned
+          (100. *. Exhaust.Campaign.prune_rate base)
+          base.states)
+      ~same:(fun (base : Exhaust.Campaign.result) r ->
+        r.rows = base.rows && r.totals = base.totals && r.points = base.points
         && r.faulted = base.faulted && r.states = base.states)
-      [ 2; 4; 8 ]
+      [ 1; 2; 4; 8 ]
+      (exhaust_leg emit ~label:"exhaust" spec
+         (Exhaust.Campaign.default_config ()))
   in
   if identical then
     Fmt.pr "@.verdict tables bit-identical across --jobs 1, 2, 4, 8@."
-  else Fmt.pr "@.WARNING: verdict tables diverge across job counts@.";
-  write_json "BENCH_7.json" !records
+  else Fmt.pr "@.WARNING: verdict tables diverge across job counts@."
 
 (* --- absint: static pre-pruner + fault-flow prover ----------------------------- *)
 
@@ -559,8 +502,7 @@ let exhaust_bench () =
 let absint_bench () =
   section
     "absint - static pre-pruner + fault-flow prover (writes BENCH_9.json)";
-  let records = ref [] in
-  let emit = emit_to records in
+  with_bench_json "BENCH_9.json" @@ fun emit ->
   (* static pre-pruner on the guard-loop exhaust workload *)
   let compiled =
     Resistor.Driver.compile Resistor.Config.none Resistor.Firmware.guard_loop
@@ -572,27 +514,20 @@ let absint_bench () =
       settle_steps = Some 64;
       static_prune = true }
   in
-  let leg label jobs config =
-    let run pool =
-      let result, perf =
-        Stats.Perf.time ~label ~jobs ~items:0 (fun () ->
-            Exhaust.Campaign.run ?pool spec config)
-      in
-      emit
-        ({ (with_pool_perf ?pool perf) with
-           Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-             ~static_pruned:result.Exhaust.Campaign.static_pruned);
-      result
-    in
-    Runtime.Pool.with_jobs jobs run
-  in
   let plain =
-    leg "absint-off" 1 { config with Exhaust.Campaign.static_prune = false }
+    exhaust_leg emit ~label:"absint-off" spec
+      { config with Exhaust.Campaign.static_prune = false }
+      None
   in
-  let seq = leg "absint-static" 1 config in
-  let par = leg "absint-static" 4 config in
+  let seq, identical =
+    jobs_ladder
+      ~same:(fun (seq : Exhaust.Campaign.result) par ->
+        seq.rows = par.rows && seq.totals = par.totals
+        && seq.verdicts = par.verdicts
+        && seq.static_pruned = par.static_pruned)
+      [ 1; 4 ]
+      (exhaust_leg emit ~label:"absint-static" spec config)
+  in
   Fmt.pr
     "@.static pre-pruner: %d of %d points proven without emulation \
      (%d executed vs %d without it)@."
@@ -600,11 +535,7 @@ let absint_bench () =
   if seq.Exhaust.Campaign.static_pruned > 0 then
     Fmt.pr "static pre-pruner floor holds: static_pruned > 0@."
   else Fmt.pr "WARNING: static pre-pruner proved nothing on guard_loop@.";
-  if
-    seq.Exhaust.Campaign.rows = par.Exhaust.Campaign.rows
-    && seq.totals = par.totals && seq.verdicts = par.verdicts
-    && seq.static_pruned = par.static_pruned
-  then Fmt.pr "verdict tables bit-identical at --jobs 1 and 4@."
+  if identical then Fmt.pr "verdict tables bit-identical at --jobs 1 and 4@."
   else Fmt.pr "WARNING: static-pruned tables diverge across job counts@.";
   (* the fig2 conditional-branch workload: a terminating baseline *)
   let case = Glitch_emu.Testcase.conditional_branch Thumb.Instr.EQ in
@@ -614,15 +545,7 @@ let absint_bench () =
       Exhaust.Campaign.max_trace = 64;
       static_prune = true }
   in
-  let fig2, perf =
-    Stats.Perf.time ~label:"absint-fig2" ~jobs:1 ~items:0 (fun () ->
-        Exhaust.Campaign.run fig2_spec fig2_config)
-  in
-  emit
-    ({ perf with Stats.Perf.items = fig2.Exhaust.Campaign.points }
-    |> Stats.Perf.with_pruned ~executed:fig2.Exhaust.Campaign.executed
-         ~pruned:fig2.Exhaust.Campaign.pruned
-         ~static_pruned:fig2.Exhaust.Campaign.static_pruned);
+  let fig2 = exhaust_leg emit ~label:"absint-fig2" fig2_spec fig2_config None in
   if fig2.Exhaust.Campaign.static_pruned > 0 then
     Fmt.pr "@.fig2 workload floor holds: static_pruned = %d > 0@."
       fig2.Exhaust.Campaign.static_pruned
@@ -631,12 +554,17 @@ let absint_bench () =
   let prove label defenses =
     let compiled = Resistor.Driver.compile defenses Resistor.Firmware.guard_loop in
     let report, perf =
-      Stats.Perf.time ~label ~jobs:1 ~items:0 (fun () ->
+      Stats.Perf.time ~label
+        (* items counts the abstract fault scenarios explored; none is
+           emulated, so executed stays 0 *)
+        ~count:(fun r perf ->
+          { perf with Stats.Perf.items = r.Absint.Prove.scenarios })
+        (fun () ->
           Absint.Prove.run ~config:compiled.Resistor.Driver.config
             ~reports:compiled.Resistor.Driver.reports
             ~modul:compiled.Resistor.Driver.modul compiled.Resistor.Driver.image)
     in
-    emit { perf with Stats.Perf.items = report.Absint.Prove.scenarios };
+    emit perf;
     Fmt.pr
       "%s: %d/%d guards reached, %d proven, %d escaping, %d unproven@." label
       report.Absint.Prove.guards_reached report.Absint.Prove.guards_total
@@ -671,8 +599,7 @@ let absint_bench () =
     (100. *. agreement.Exhaust.Agreement.concordance_unweighted);
   if agreement.Exhaust.Agreement.concordance > 0.5 then
     Fmt.pr "agreement floor holds: weighted concordance > 50%%@."
-  else Fmt.pr "WARNING: weighted concordance did not beat 50%%@.";
-  write_json "BENCH_9.json" !records
+  else Fmt.pr "WARNING: weighted concordance did not beat 50%%@."
 
 (* --- Section V-B: locating optimal parameters --------------------------------- *)
 
@@ -764,7 +691,9 @@ let table6 ?pool ~quick () =
       ("None (reference)", Resistor.Config.none) ]
   in
   let (), perf =
-    Stats.Perf.time ~label:"table6" ~jobs:(pool_jobs pool) ~items:0 (fun () ->
+    Stats.Perf.time ?pool ~label:"table6"
+      ~count:(fun () -> Stats.Perf.items !total_attempts)
+      (fun () ->
   List.iter
     (fun scenario ->
       Fmt.pr "@.--- %s ---@." (Resistor.Evaluate.scenario_name scenario);
@@ -791,14 +720,23 @@ let table6 ?pool ~quick () =
            attacks))
     scenarios)
   in
-  emit_perf
-    (with_pool_perf ?pool
-       { perf with Stats.Perf.items = !total_attempts; executed = !total_attempts });
+  emit_perf perf;
   paper_note "while(!a): single 0.00928%%/0.00371%% success, 98-100%% detected;";
   paper_note "long 0.263%%/0.267%% success with 79.2%%/71.2%% detection;";
   paper_note "if(a==SUCCESS): best attack 0.00557%% (All) / 0.0449%% (All\\Delay)."
 
 (* --- Ablation: which defense stops what ------------------------------------------- *)
+
+(* One efficacy row after its label: successes (rate) and detections
+   for the single and the windowed-10 attack. *)
+let efficacy_cells (single : Resistor.Evaluate.outcome)
+    (windowed : Resistor.Evaluate.outcome) =
+  [ Fmt.str "%d (%a)" single.successes Stats.Rate.pp_pct
+      (Resistor.Evaluate.success_rate single);
+    string_of_int single.detections;
+    Fmt.str "%d (%a)" windowed.successes Stats.Rate.pp_pct
+      (Resistor.Evaluate.success_rate windowed);
+    string_of_int windowed.detections ]
 
 let ablation ?pool ~quick () =
   section "Ablation - per-defense efficacy against while(!a) (extension)";
@@ -837,13 +775,7 @@ let ablation ?pool ~quick () =
            Resistor.Evaluate.run_image ?pool ~sweep_step image
              Resistor.Evaluate.Windowed
          in
-         [ label;
-           Fmt.str "%d (%a)" single.successes Stats.Rate.pp_pct
-             (Resistor.Evaluate.success_rate single);
-           string_of_int single.detections;
-           Fmt.str "%d (%a)" windowed.successes Stats.Rate.pp_pct
-             (Resistor.Evaluate.success_rate windowed);
-           string_of_int windowed.detections ])
+         label :: efficacy_cells single windowed)
        images);
   Fmt.pr "@.Reading the ablation:@.";
   Fmt.pr "- Branches alone barely helps: a loop escape leaves on the FALSE@.";
@@ -868,7 +800,7 @@ let ablation ?pool ~quick () =
    BENCH_8.json; [items] counts sweep attempts. *)
 let defenses ?pool ~quick () =
   section "defenses - CFI backend overhead + efficacy (writes BENCH_8.json)";
-  let records = ref [] in
+  with_bench_json "BENCH_8.json" @@ fun emit ->
   let base = Resistor.Overhead.measure Resistor.Config.none ~label:"None" in
   let pct v b =
     Fmt.str "%.2f%%" (100. *. float_of_int (v - b) /. float_of_int b)
@@ -910,28 +842,18 @@ let defenses ?pool ~quick () =
     (List.map
        (fun (label, slug, image) ->
          let (single, windowed), perf =
-           Stats.Perf.time
+           Stats.Perf.time ?pool
              ~label:("defenses-" ^ slug)
-             ~jobs:(pool_jobs pool) ~items:0
+             ~count:(fun ((s : Resistor.Evaluate.outcome), w) ->
+               Stats.Perf.items (s.attempts + w.Resistor.Evaluate.attempts))
              (fun () ->
                ( Resistor.Evaluate.run_image ?pool ~sweep_step image
                    Resistor.Evaluate.Single,
                  Resistor.Evaluate.run_image ?pool ~sweep_step image
                    Resistor.Evaluate.Windowed ))
          in
-         let attempts = single.attempts + windowed.attempts in
-         let perf =
-           with_pool_perf ?pool
-             { perf with Stats.Perf.items = attempts; executed = attempts }
-         in
-         emit_to records perf;
-         [ label;
-           Fmt.str "%d (%a)" single.successes Stats.Rate.pp_pct
-             (Resistor.Evaluate.success_rate single);
-           string_of_int single.detections;
-           Fmt.str "%d (%a)" windowed.successes Stats.Rate.pp_pct
-             (Resistor.Evaluate.success_rate windowed);
-           string_of_int windowed.detections ])
+         emit perf;
+         label :: efficacy_cells single windowed)
        images);
   Fmt.pr "@.Reading the CFI rows:@.";
   Fmt.pr "- Both backends detect illegal-edge arrivals (a skipped guard@.";
@@ -939,8 +861,7 @@ let defenses ?pool ~quick () =
   Fmt.pr "  but neither re-checks the DIRECTION of a legal branch - the@.";
   Fmt.pr "  Table VII residue the complemented duplication checks cover.@.";
   Fmt.pr "- Stacked on All\\Delay they close that gap at roughly the CFCSS@.";
-  Fmt.pr "  dilation cost.@.";
-  write_json "BENCH_8.json" !records
+  Fmt.pr "  dilation cost.@."
 
 (* --- Table VII: qualitative comparison -------------------------------------------- *)
 
@@ -957,20 +878,20 @@ let table7 () =
    perturbations classified (136 per reachable instruction). *)
 let analysis () =
   section "analysis - static glitch surface and defense audit (writes BENCH_4.json)";
-  let records = ref [] in
+  with_bench_json "BENCH_4.json" @@ fun emit ->
   let lint name config source =
     let report, perf =
-      Stats.Perf.time ~label:("analysis-" ^ name) ~jobs:1 ~items:0 (fun () ->
+      Stats.Perf.time
+        ~label:("analysis-" ^ name)
+        ~count:(fun r ->
+          Stats.Perf.items
+            r.Analysis.Lint.surface.Analysis.Surface.total_flips)
+        (fun () ->
           Analysis.Lint.run
             (Analysis.Lint.of_compiled (Resistor.Driver.compile config source)))
     in
     let surface = report.Analysis.Lint.surface in
-    let perf =
-      { perf with
-        Stats.Perf.items = surface.Analysis.Surface.total_flips;
-        executed = surface.Analysis.Surface.total_flips }
-    in
-    emit_to records perf;
+    emit perf;
     Fmt.pr "  %s: %d error(s), %d warning(s), %d instruction(s), %.1f%% control@."
       name
       (Analysis.Lint.count Analysis.Lint.Error report)
@@ -993,8 +914,7 @@ let analysis () =
   Fmt.pr "@.undefended guard-loop errors: %d (expected > 0); defended: %d \
           (expected 0)@."
     (List.length (Analysis.Lint.errors undef))
-    (List.length (Analysis.Lint.errors def));
-  write_json "BENCH_4.json" !records
+    (List.length (Analysis.Lint.errors def))
 
 (* --- fuzz: randomized differential testing throughput ------------------------- *)
 
@@ -1006,24 +926,27 @@ let fuzz ~quick () =
   section "fuzz - randomized differential defense testing (writes BENCH_5.json)";
   let count = if quick then 10 else 60 in
   let seed = 42 in
-  let records = ref [] in
+  with_bench_json "BENCH_5.json" @@ fun emit ->
   List.iter
     (fun family ->
       let name = Gen.Fuzz.family_name family in
       let summary, perf =
-        Stats.Perf.time ~label:("fuzz-" ^ name) ~jobs:1 ~items:count (fun () ->
-            Gen.Fuzz.run ~families:[ family ] ~count ~seed ())
+        Stats.Perf.time
+          ~label:("fuzz-" ^ name)
+          ~count:(fun s perf ->
+            { perf with
+              Stats.Perf.items = count;
+              executed = (List.hd s.Gen.Fuzz.runs).checked })
+          (fun () -> Gen.Fuzz.run ~families:[ family ] ~count ~seed ())
       in
       let run = List.hd summary.Gen.Fuzz.runs in
-      let perf = { perf with Stats.Perf.executed = run.Gen.Fuzz.checked } in
-      emit_to records perf;
+      emit perf;
       Fmt.pr "  %-14s %d generated, %d checked, %d skipped: %s@." name count
         run.Gen.Fuzz.checked run.Gen.Fuzz.skipped
         (match run.Gen.Fuzz.failure with
         | None -> "pass"
         | Some f -> "FAIL: " ^ f.Gen.Fuzz.message))
-    Gen.Fuzz.all_families;
-  write_json "BENCH_5.json" !records
+    Gen.Fuzz.all_families
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------------ *)
 
@@ -1100,85 +1023,121 @@ let micro () =
 
 (* --- driver ---------------------------------------------------------------------------- *)
 
-let usage () =
-  print_endline
-    "usage: main.exe \
-     [all|fig2|table1|table2|table3|tables|scaling|exhaust|tuner|table4|table5|table6|table7|ablation|defenses|analysis|fuzz|micro] \
-     [--quick] [--jobs N] [--cache-dir DIR]"
+type ctx = {
+  pool : Runtime.Pool.t option;
+  jobs : int;
+  quick : bool;
+  cache : Cache.t option;
+}
 
-(* Pull "--jobs N" out of the raw argument list. *)
-let rec extract_jobs = function
-  | [] -> (None, [])
-  | "--jobs" :: n :: rest -> (
-    match int_of_string_opt n with
-    | Some jobs when jobs >= 1 -> (Some jobs, snd (extract_jobs rest))
-    | Some _ | None ->
-      prerr_endline "--jobs expects a positive integer";
-      exit 2)
-  | [ "--jobs" ] ->
-    prerr_endline "--jobs expects a positive integer";
-    exit 2
-  | a :: rest ->
-    let jobs, args = extract_jobs rest in
-    (jobs, a :: args)
+(* Every experiment, in run order: its name, whether a bare run (or
+   "all") includes it, and its runner. table4 and table5 are one
+   experiment, so "all" runs it once. *)
+let experiments =
+  [ ("fig2", true, fun c -> fig2 ?pool:c.pool ?cache:c.cache ());
+    ("fig2x", true, fun c -> fig2x ?pool:c.pool ());
+    ("table1", true, fun c -> table1 ?pool:c.pool ());
+    ("table2", true, fun c -> table2 ?pool:c.pool ());
+    ("table3", true, fun c -> table3 ?pool:c.pool ());
+    ("tables", false, fun c -> tables ~jobs:c.jobs ());
+    ("scaling", false, fun _ -> scaling ());
+    ("exhaust", false, fun _ -> exhaust_bench ());
+    ("absint", false, fun _ -> absint_bench ());
+    ("tuner", true, fun _ -> tuner ());
+    ("table4", true, fun _ -> table45 ());
+    ("table5", false, fun _ -> table45 ());
+    ("table6", true, fun c -> table6 ?pool:c.pool ~quick:c.quick ());
+    ("table7", true, fun _ -> table7 ());
+    ("ablation", true, fun c -> ablation ?pool:c.pool ~quick:c.quick ());
+    ("defenses", true, fun c -> defenses ?pool:c.pool ~quick:c.quick ());
+    ("analysis", true, fun _ -> analysis ());
+    ("fuzz", true, fun c -> fuzz ~quick:c.quick ());
+    ("micro", true, fun _ -> micro ()) ]
 
-(* Pull "--cache-dir DIR" out of the raw argument list. *)
-let rec extract_cache_dir = function
-  | [] -> (None, [])
-  | "--cache-dir" :: dir :: rest when dir <> "" ->
-    (Some dir, snd (extract_cache_dir rest))
-  | [ "--cache-dir" ] | "--cache-dir" :: _ ->
-    prerr_endline "--cache-dir expects a directory path";
-    exit 2
-  | a :: rest ->
-    let d, args = extract_cache_dir rest in
-    (d, a :: args)
+(* "all" plus one selector per experiment, for the positional
+   arguments; no argument at all means "all". *)
+let selectors =
+  ( "all",
+    List.filter_map
+      (fun (_, in_all, run) -> if in_all then Some run else None)
+      experiments )
+  :: List.map (fun (name, _, run) -> (name, [ run ])) experiments
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let jobs, args = extract_jobs args in
-  let cache_dir, args = extract_cache_dir args in
-  let cache = Option.map (fun dir -> Cache.open_dir dir) cache_dir in
-  let jobs = Option.value jobs ~default:(Runtime.Pool.default_jobs ()) in
-  let args = List.filter (fun a -> a <> "--quick" && a <> "--") args in
+let run_experiments names quick jobs cache_dir =
+  let cache = Option.map Cache.open_dir cache_dir in
   (* jobs = 1 keeps every experiment on the original sequential path *)
   Runtime.Pool.with_jobs jobs @@ fun pool ->
-  let experiments =
-    [ ("fig2", fig2 ?pool ?cache); ("fig2x", fig2x ?pool);
-      ("table1", table1 ?pool);
-      ("table2", table2 ?pool); ("table3", table3 ?pool);
-      ("tables", tables ?pool); ("scaling", scaling);
-      ("exhaust", exhaust_bench); ("absint", absint_bench); ("tuner", tuner);
-      ("table4", table45); ("table5", table45);
-      ("table6", table6 ?pool ~quick); ("table7", table7);
-      ("ablation", ablation ?pool ~quick);
-      ("defenses", defenses ?pool ~quick); ("analysis", analysis);
-      ("fuzz", fuzz ~quick); ("micro", micro) ]
+  let ctx = { pool; jobs; quick; cache } in
+  List.iter
+    (fun name -> List.iter (fun run -> run ctx) (List.assoc name selectors))
+    (if names = [] then [ "all" ] else names);
+  write_json "BENCH_2.json" !perf_log
+
+(* Usage errors (an unknown experiment, --jobs below 1 or not a number,
+   an option missing its value) exit 2 with the usage on stderr. *)
+let () =
+  let open Cmdliner in
+  let names =
+    let alts = List.map (fun (name, _) -> (name, name)) selectors in
+    Arg.(
+      value
+      & pos_all (enum alts) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            (Fmt.str "Experiments to run, in order ($(b,all) when none is \
+                      given): %s."
+               (Arg.doc_alts_enum alts)))
   in
-  let run_all () =
-    fig2 ?pool ?cache ();
-    fig2x ?pool ();
-    table1 ?pool ();
-    table2 ?pool ();
-    table3 ?pool ();
-    tuner ();
-    table45 ();
-    table6 ?pool ~quick ();
-    table7 ();
-    ablation ?pool ~quick ();
-    defenses ?pool ~quick ();
-    analysis ();
-    fuzz ~quick ();
-    micro ()
+  let quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ]
+          ~doc:"Coarser sweeps and fewer fuzz programs for a smoke run.")
   in
-  (match args with
-  | [] | [ "all" ] -> run_all ()
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name experiments with
-        | Some f -> f ()
-        | None -> usage ())
-      names);
-  write_perf_json "BENCH_2.json"
+  let jobs =
+    let positive =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some _ | None -> Error (`Msg "expects a positive integer")
+      in
+      Arg.conv (parse, Fmt.int)
+    in
+    Arg.(
+      value
+      & opt positive (Runtime.Pool.default_jobs ())
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Worker domains for the campaign sweeps, at least 1; results \
+             are bit-identical at any N.")
+  in
+  let cache_dir =
+    let path =
+      let parse = function
+        | "" -> Error (`Msg "expects a directory path")
+        | dir -> Ok dir
+      in
+      Arg.conv (parse, Fmt.string)
+    in
+    Arg.(
+      value
+      & opt (some path) None
+      & info [ "cache-dir" ] ~docv:"DIR"
+          ~doc:"Serve fig2's sweeps through the persistent result cache in DIR.")
+  in
+  let cmd =
+    Cmd.v
+      (Cmd.info "main.exe"
+         ~doc:"Regenerate the tables and figures of Glitching Demystified"
+         ~exits:
+           [ Cmd.Exit.info 0 ~doc:"on success.";
+             Cmd.Exit.info 2
+               ~doc:"on a command-line error, such as an unknown experiment.";
+             Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an internal error." ])
+      Term.(const run_experiments $ names $ quick $ jobs $ cache_dir)
+  in
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

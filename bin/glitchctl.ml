@@ -123,17 +123,25 @@ let with_sensitive config sensitive = { config with Resistor.Config.sensitive }
    count: a table sweep has only 8-11 items, so domains beyond that
    would just spin. Note the recommended domain count reflects the
    host's cores — in a CPU-limited CI container, pass --jobs
-   explicitly. *)
+   explicitly. A count below 1 is a usage error (exit 2). *)
 let jobs_arg ?chunks () =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | Some _ | None -> Error (`Msg "expects a positive integer")
+    in
+    Arg.conv (parse, Fmt.int)
+  in
   Arg.(
     value
-    & opt int (Runtime.Pool.default_jobs ?chunks ())
+    & opt positive (Runtime.Pool.default_jobs ?chunks ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker domains for campaign sweeps (default: the recommended \
-           domain count, clamped to the command's work-item count). \
-           Results are bit-identical at any job count; 1 takes the \
-           sequential code path.")
+          "Worker domains for campaign sweeps, at least 1 (default: the \
+           recommended domain count, clamped to the command's work-item \
+           count). Results are bit-identical at any job count; 1 takes \
+           the sequential code path.")
 
 let cache_dir_arg =
   Arg.(
@@ -145,19 +153,6 @@ let cache_dir_arg =
            (snippet, fault model, parameters, code version) key is \
            already cached are served without executing anything; \
            corrupted entries are treated as misses.")
-
-(* Fold the pool's queue-wait/utilization accounting into a PERF
-   record, so pool overhead shows up in the machine lines instead of
-   having to be inferred from scaling curves. *)
-let with_pool_perf ~jobs pool perf =
-  match pool with
-  | None -> perf
-  | Some pool ->
-    let st = Runtime.Pool.stats pool in
-    Stats.Perf.with_pool_stats
-      ~wait_s:(Runtime.Pool.stats_wait ~jobs st)
-      ~utilization:(Runtime.Pool.stats_utilization ~jobs st)
-      perf
 
 (* --- asm ------------------------------------------------------------------- *)
 
@@ -382,16 +377,13 @@ let attack_cmd =
     let compiled = Resistor.Driver.compile config source in
     match
       Runtime.Pool.with_jobs jobs (fun pool ->
-          let o, perf =
-            Stats.Perf.time ~label:"attack" ~jobs ~items:0 (fun () ->
-                Resistor.Evaluate.run_image ?pool ~sweep_step:step
-                  compiled.image attack)
-          in
-          let perf = with_pool_perf ~jobs pool perf in
-          (let n = o.Resistor.Evaluate.attempts in
-           ({ perf with Stats.Perf.items = n; executed = n }, o)))
+          Stats.Perf.time ?pool ~label:"attack"
+            ~count:(fun o -> Stats.Perf.items o.Resistor.Evaluate.attempts)
+            (fun () ->
+              Resistor.Evaluate.run_image ?pool ~sweep_step:step
+                compiled.image attack))
     with
-    | perf, o ->
+    | o, perf ->
       Fmt.pr "%s vs %s: %d attempts, %d successes (%a), %d detections@."
         (Resistor.Evaluate.attack_name attack)
         (Resistor.Config.name config)
@@ -432,22 +424,22 @@ let table_cmd =
       & info [ "guard" ] ~docv:"GUARD" ~doc:"not_a, a, or ne.")
   in
   let run n guard jobs =
-    let perf_line label jobs pool (s : Hw.Attack.sweep) perf =
-      let perf =
-        Stats.Perf.with_cycles ~booted:s.emulated_cycles
-          ~replayed:s.replayed_cycles
-          { perf with Stats.Perf.items = s.attempts; executed = s.attempts }
+    Runtime.Pool.with_jobs jobs @@ fun pool ->
+    let table label run sweep print =
+      let t, perf =
+        Stats.Perf.time ?pool ~label
+          ~count:(fun t -> Hw.Attack.count (sweep t))
+          run
       in
-      let perf = with_pool_perf ~jobs pool perf in
-      Fmt.pr "%s@." (Stats.Perf.machine_line { perf with Stats.Perf.label; jobs })
+      print t;
+      Fmt.pr "%s@." (Stats.Perf.machine_line perf)
     in
-    Runtime.Pool.with_jobs jobs (fun pool ->
-        match n with
-        | 1 ->
-          let t, perf =
-            Stats.Perf.time ~label:"table1" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table1 ?pool guard)
-          in
+    (match n with
+    | 1 ->
+      table "table1"
+        (fun () -> Hw.Attack.run_table1 ?pool guard)
+        (fun t -> t.Hw.Attack.sweep1)
+        (fun t ->
           Fmt.pr "Table I, %s (%d attempts per cycle):@."
             (Hw.Attack.guard_name guard) t.attempts_per_cycle;
           Array.iteri
@@ -458,31 +450,28 @@ let table_cmd =
                 |> String.concat "  "
               in
               Fmt.pr "  cycle %d: %4d successes  %s@." cycle c.successes values)
-            t.per_cycle;
-          perf_line "table1" jobs pool t.sweep1 perf
-        | 2 ->
-          let t, perf =
-            Stats.Perf.time ~label:"table2" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table2 ?pool guard)
-          in
+            t.per_cycle)
+    | 2 ->
+      table "table2"
+        (fun () -> Hw.Attack.run_table2 ?pool guard)
+        (fun t -> t.Hw.Attack.sweep2)
+        (fun t ->
           Fmt.pr "Table II, %s (%d attempts):@." (Hw.Attack.guard_name guard)
             t.attempts2;
           Array.iteri
             (fun cycle p ->
               Fmt.pr "  cycle %d: partial %4d  full %4d@." cycle p t.full.(cycle))
-            t.partial;
-          perf_line "table2" jobs pool t.sweep2 perf
-        | _ ->
-          let t, perf =
-            Stats.Perf.time ~label:"table3" ~jobs ~items:0 (fun () ->
-                Hw.Attack.run_table3 ?pool guard)
-          in
+            t.partial)
+    | _ ->
+      table "table3"
+        (fun () -> Hw.Attack.run_table3 ?pool guard)
+        (fun t -> t.Hw.Attack.sweep3)
+        (fun t ->
           Fmt.pr "Table III, %s (%d attempts per window):@."
             (Hw.Attack.guard_name guard) t.attempts_per_window;
           List.iter
             (fun (last, s) -> Fmt.pr "  cycles 0-%d: %4d successes@." last s)
-            t.windows;
-          perf_line "table3" jobs pool t.sweep3 perf);
+            t.windows));
     0
   in
   Cmd.v
@@ -723,33 +712,6 @@ let exhaust_mode_arg =
           "transient: execute the perturbed word once, flash untouched; \
            persistent: write it to flash before the fetch.")
 
-let exhaust_config ?(static = false) ?settle mode max_trace cycles =
-  { (Exhaust.Campaign.default_config ()) with
-    Exhaust.Campaign.mode;
-    max_trace;
-    cycles;
-    settle_steps = settle;
-    static_prune = static }
-
-let run_exhaust ?static ?settle ~label compiled mode max_trace cycles jobs
-    cache_dir =
-  let spec = Exhaust.Campaign.spec_of_image ~name:label compiled.Resistor.Driver.image in
-  let config = exhaust_config ?static ?settle mode max_trace cycles in
-  Runtime.Pool.with_jobs jobs (fun pool ->
-      let cache = Option.map Cache.open_dir cache_dir in
-      let (result, hit), perf =
-        Stats.Perf.time ~label:"exhaust" ~jobs ~items:0 (fun () ->
-            Exhaust.Campaign.run_cached ?pool ?cache spec config)
-      in
-      let perf =
-        { (with_pool_perf ~jobs pool perf) with
-          Stats.Perf.items = result.Exhaust.Campaign.points }
-        |> Stats.Perf.with_pruned ~executed:result.Exhaust.Campaign.executed
-             ~pruned:result.Exhaust.Campaign.pruned
-             ~static_pruned:result.Exhaust.Campaign.static_pruned
-      in
-      (result, hit, perf))
-
 let pp_exhaust_result ppf (r : Exhaust.Campaign.result) =
   Fmt.pf ppf "%s, %s mode: %d trace cycles (%s), settle %d@." r.spec_name
     (Exhaust.Campaign.mode_name r.mode)
@@ -837,9 +799,24 @@ let exhaust_cmd =
     with_source file @@ fun () ->
     let config = with_sensitive config sensitive in
     let compiled = Resistor.Driver.compile config (read_file file) in
-    let result, hit, perf =
-      run_exhaust ~static ?settle ~label:(Filename.basename file) compiled
-        mode max_trace cycles jobs cache_dir
+    let spec =
+      Exhaust.Campaign.spec_of_image ~name:(Filename.basename file)
+        compiled.Resistor.Driver.image
+    in
+    let config =
+      { (Exhaust.Campaign.default_config ()) with
+        Exhaust.Campaign.mode;
+        max_trace;
+        cycles;
+        settle_steps = settle;
+        static_prune = static }
+    in
+    let (result, hit), perf =
+      Runtime.Pool.with_jobs jobs @@ fun pool ->
+      let cache = Option.map Cache.open_dir cache_dir in
+      Stats.Perf.time ?pool ~label:"exhaust"
+        ~count:(fun (result, _hit) -> Exhaust.Campaign.count result)
+        (fun () -> Exhaust.Campaign.run_cached ?pool ?cache spec config)
     in
     if json then print_json (Exhaust.Campaign.to_json result)
     else begin

@@ -332,6 +332,13 @@ let prune_rate r =
   let den = r.pruned + r.executed in
   if den = 0 then 0. else float_of_int r.pruned /. float_of_int den
 
+let count r perf =
+  { perf with
+    Stats.Perf.items = r.points;
+    executed = r.executed;
+    pruned = r.pruned;
+    static_pruned = r.static_pruned }
+
 let baseline spec config =
   let _rig, tr = run_baseline spec config in
   (tr.steps, tr.baseline_stop)

@@ -121,6 +121,10 @@ val prune_rate : result -> float
     served by state-equivalence sharing. Immediate faults at the
     injected step ([faulted]) are excluded from both sides. *)
 
+val count : result -> Stats.Perf.t -> Stats.Perf.t
+(** A campaign's PERF counters: one item per injection point, with the
+    executed / state-shared / statically proven split. *)
+
 val baseline :
   spec -> config -> (int * int) array * Machine.Exec.stop option
 (** The recorded pristine trace — [(pc, fetched word)] per cycle — and

@@ -283,6 +283,11 @@ let sweep_add a b =
     replayed_cycles = a.replayed_cycles + b.replayed_cycles;
     boots = a.boots + b.boots }
 
+let count s perf =
+  { (Stats.Perf.items s.attempts perf) with
+    Stats.Perf.booted_cycles = s.emulated_cycles;
+    replayed_cycles = s.replayed_cycles }
+
 let full_parameter_sweep ?config rig ~make_schedule ~classify =
   let attempts = ref 0 and emulated = ref 0 and replayed = ref 0 in
   for width = -49 to 49 do

@@ -101,6 +101,11 @@ type sweep = {
 val sweep_zero : sweep
 val sweep_add : sweep -> sweep -> sweep
 
+val count : sweep -> Stats.Perf.t -> Stats.Perf.t
+(** A sweep's PERF counters: every attempt is an executed item, and the
+    booted-vs-replayed cycle split records how much emulation the
+    snapshot-replay kernel avoided. *)
+
 (** One Table I cell: successes at a given cycle with the post-mortem
     comparator histogram. *)
 type cycle_stats = { successes : int; values : (int * int) list }

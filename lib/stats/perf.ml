@@ -13,33 +13,36 @@ type t = {
   utilization : float;
 }
 
-let time ~label ~jobs ~items f =
+let time ?pool ~label ~count f =
+  Option.iter Runtime.Pool.reset_stats pool;
   let t0 = Unix.gettimeofday () in
   let v = f () in
   let elapsed_s = Unix.gettimeofday () -. t0 in
+  let jobs, wait_s, utilization =
+    match pool with
+    | None -> (1, 0., 1.)
+    | Some p ->
+      let jobs = Runtime.Pool.jobs p and s = Runtime.Pool.stats p in
+      ( jobs,
+        Runtime.Pool.stats_wait ~jobs s,
+        Runtime.Pool.stats_utilization ~jobs s )
+  in
   ( v,
-    { label;
-      jobs;
-      items;
-      elapsed_s;
-      executed = items;
-      memoized = 0;
-      pruned = 0;
-      static_pruned = 0;
-      booted_cycles = 0;
-      replayed_cycles = 0;
-      wait_s = 0.;
-      utilization = 1. } )
+    count v
+      { label;
+        jobs;
+        items = 0;
+        elapsed_s;
+        executed = 0;
+        memoized = 0;
+        pruned = 0;
+        static_pruned = 0;
+        booted_cycles = 0;
+        replayed_cycles = 0;
+        wait_s;
+        utilization } )
 
-let with_memo ~executed ~memoized t = { t with executed; memoized }
-
-let with_pruned ?(static_pruned = 0) ~executed ~pruned t =
-  { t with executed; pruned; static_pruned }
-
-let with_cycles ~booted ~replayed t =
-  { t with booted_cycles = booted; replayed_cycles = replayed }
-
-let with_pool_stats ~wait_s ~utilization t = { t with wait_s; utilization }
+let items n t = { t with items = n; executed = n }
 
 let throughput t =
   if t.elapsed_s <= 0. then 0. else float_of_int t.items /. t.elapsed_s

@@ -7,17 +7,18 @@
 
     {v PERF experiment=fig2 jobs=4 items=4456448 seconds=3.271 rate=1362411.5 executed=51240 memoized=4405208 hit_rate=0.9885 v}
 
-    Sweeps backed by the per-word outcome memo additionally record how
-    many items were actually emulated versus replayed from the memo
-    ({!with_memo}); {!to_json} serialises a record for the
-    [BENCH_*.json] artifacts. *)
+    The counters of a record come from the result it timed, through the
+    [count] function of the library that owns the result type
+    ([Glitch_emu.Campaign.count], [Hw.Attack.count],
+    [Exhaust.Campaign.count]) or {!items}; {!to_json} serialises a
+    record for the [BENCH_*.json] artifacts. *)
 
 type t = {
   label : string;  (** experiment name; keep it shell-token safe *)
   jobs : int;  (** worker domains used *)
   items : int;  (** work units processed (masks, attempts, ...) *)
   elapsed_s : float;  (** wall-clock seconds *)
-  executed : int;  (** items that did real work (default: [items]) *)
+  executed : int;  (** items that did real work *)
   memoized : int;  (** items served from a memo (default: 0) *)
   pruned : int;
       (** items whose outcome was proven equal to an already-executed
@@ -40,27 +41,23 @@ type t = {
           [0, 1] (default: 1) *)
 }
 
-val time : label:string -> jobs:int -> items:int -> (unit -> 'a) -> 'a * t
-(** Run the thunk and measure its wall-clock time (monotonic across
-    domains, unlike [Sys.time] which sums CPU time). The returned record
-    assumes every item was executed; adjust with {!with_memo}. *)
+val time :
+  ?pool:Runtime.Pool.t ->
+  label:string ->
+  count:('a -> t -> t) ->
+  (unit -> 'a) ->
+  'a * t
+(** [time ?pool ~label ~count f] runs [f] and measures its wall-clock
+    time (monotonic across domains, unlike [Sys.time] which sums CPU
+    time), then fills the work counters with [count] applied to [f]'s
+    result. With [pool], [jobs] is the pool's worker count, the pool's
+    region accounting is reset on entry, and the regions [f] ran are
+    folded into [wait_s] and [utilization]; without one, [jobs] is 1 and
+    both keep their defaults. *)
 
-val with_memo : executed:int -> memoized:int -> t -> t
-(** Attach memoization counters after the fact. *)
-
-val with_pruned : ?static_pruned:int -> executed:int -> pruned:int -> t -> t
-(** Attach exhaustive-campaign pruning counters after the fact;
-    [static_pruned] counts points the abstract interpreter proved
-    without any emulation. *)
-
-val with_cycles : booted:int -> replayed:int -> t -> t
-(** Attach booted-vs-replayed board-cycle counters after the fact (the
-    hardware-leg analogue of {!with_memo}). *)
-
-val with_pool_stats : wait_s:float -> utilization:float -> t -> t
-(** Attach pool-overhead counters after the fact; compute them from
-    {!Runtime.Pool.stats} with [Pool.stats_wait] /
-    [Pool.stats_utilization]. *)
+val items : int -> t -> t
+(** [items n] counts [n] work units, every one executed — the [count]
+    for results whose owner keeps no finer split. *)
 
 val replay_rate : t -> float
 (** [replayed / (booted + replayed)] in [0, 1]; 0 when no cycles were

@@ -351,6 +351,9 @@ let test_exit_codes () =
         [ "fuzz"; "--properties"; "nonsense" ],
         2 );
       ("fuzz zero count", [ "fuzz"; "--count"; "0" ], 2);
+      (* a worker count below 1 is a usage error, not a zero-job run *)
+      ("table zero jobs", [ "table"; "1"; "--jobs"; "0" ], 2);
+      ("exhaust zero jobs", [ "exhaust"; good; "--jobs"; "0" ], 2);
       ( "fuzz replay unknown property",
         [ "fuzz"; "--replay"; bad_property ],
         2 );

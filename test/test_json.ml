@@ -195,7 +195,9 @@ let test_control_bytes () =
        { Analysis.Lint.rule = "r"; severity = Analysis.Lint.Error;
          func = awkward; addr = 0; message = "m" })
     [ "func" ];
-  let (), perf = Stats.Perf.time ~label:awkward ~jobs:1 ~items:1 ignore in
+  let (), perf =
+    Stats.Perf.time ~label:awkward ~count:(fun () -> Stats.Perf.items 1) ignore
+  in
   round_trip "perf label" (Stats.Perf.to_json perf) [ "label" ]
 
 let () =

@@ -1,28 +1,5 @@
 (* Tests for the stats utilities that every report and bench rides on. *)
 
-let counter_basics () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr c "a";
-  Stats.Counter.incr ~by:3 c "b";
-  Alcotest.(check int) "a" 2 (Stats.Counter.get c "a");
-  Alcotest.(check int) "b" 3 (Stats.Counter.get c "b");
-  Alcotest.(check int) "missing" 0 (Stats.Counter.get c "z");
-  Alcotest.(check int) "total" 5 (Stats.Counter.total c);
-  Alcotest.(check (list (pair string int)))
-    "sorted by count desc"
-    [ ("b", 3); ("a", 2) ]
-    (Stats.Counter.to_list c)
-
-let counter_ties_sort_by_key () =
-  let c = Stats.Counter.create () in
-  Stats.Counter.incr c "zz";
-  Stats.Counter.incr c "aa";
-  Alcotest.(check (list (pair string int)))
-    "key order on ties"
-    [ ("aa", 1); ("zz", 1) ]
-    (Stats.Counter.to_list c)
-
 let rate_formatting () =
   let s p = Fmt.str "%a" Stats.Rate.pp_pct p in
   Alcotest.(check string) "zero" "0%" (s 0.);
@@ -37,15 +14,17 @@ let rate_pct () =
   Alcotest.(check (float 1e-9)) "den 0" 0. (Stats.Rate.pct ~num:5 ~den:0)
 
 let perf_cycle_counters () =
-  let (), p = Stats.Perf.time ~label:"t" ~jobs:1 ~items:10 (fun () -> ()) in
+  let (), p =
+    Stats.Perf.time ~label:"t" ~count:(fun () -> Stats.Perf.items 10) (fun () -> ())
+  in
   (* without cycle counters the PERF line stays in its original shape *)
   Alcotest.(check bool) "no cycle keys by default" false
     (String.length (Stats.Perf.machine_line p)
     <> String.length
          (Stats.Perf.machine_line
-            (Stats.Perf.with_cycles ~booted:0 ~replayed:0 p)));
+            { p with Stats.Perf.booted_cycles = 0; replayed_cycles = 0 }));
   Alcotest.(check (float 1e-9)) "replay rate empty" 0. (Stats.Perf.replay_rate p);
-  let p = Stats.Perf.with_cycles ~booted:25 ~replayed:75 p in
+  let p = { p with Stats.Perf.booted_cycles = 25; replayed_cycles = 75 } in
   Alcotest.(check (float 1e-9)) "replay rate" 0.75 (Stats.Perf.replay_rate p);
   let line = Stats.Perf.machine_line p in
   let has needle =
@@ -70,12 +49,15 @@ let contains haystack needle =
   go 0
 
 let perf_pool_counters () =
-  let (), p = Stats.Perf.time ~label:"t" ~jobs:4 ~items:10 (fun () -> ()) in
+  let (), p =
+    Stats.Perf.time ~label:"t" ~count:(fun () -> Stats.Perf.items 10) (fun () -> ())
+  in
+  let p = { p with Stats.Perf.jobs = 4 } in
   (* the default (no pool accounting) keeps the PERF line in its
      original shape *)
   Alcotest.(check bool) "no pool keys by default" false
     (contains (Stats.Perf.machine_line p) "wait_s=");
-  let p = Stats.Perf.with_pool_stats ~wait_s:1.25 ~utilization:0.75 p in
+  let p = { p with Stats.Perf.wait_s = 1.25; utilization = 0.75 } in
   let line = Stats.Perf.machine_line p in
   Alcotest.(check bool) "wait in PERF line" true (contains line "wait_s=1.250");
   Alcotest.(check bool) "utilization in PERF line" true
@@ -84,6 +66,29 @@ let perf_pool_counters () =
   Alcotest.(check bool) "wait in json" true (contains json "\"wait_s\":1.250");
   Alcotest.(check bool) "utilization in json" true
     (contains json "\"utilization\":0.7500")
+
+(* [time ~pool] reads [jobs] from the pool and folds in the accounting of
+   exactly the regions its thunk ran: worker 0 sleeps while worker 1
+   returns at once, so a region leaves about half the capacity idle. *)
+let perf_time_pool () =
+  Runtime.Pool.with_pool ~jobs:2 @@ fun pool ->
+  let unbalanced () =
+    Runtime.Pool.run pool (fun wid -> if wid = 0 then Unix.sleepf 0.05)
+  in
+  let count () = Stats.Perf.items 1 in
+  unbalanced ();
+  let (), idle = Stats.Perf.time ~pool ~label:"idle" ~count ignore in
+  Alcotest.(check int) "jobs from the pool" 2 idle.jobs;
+  Alcotest.(check (float 0.)) "earlier region: no wait" 0. idle.wait_s;
+  Alcotest.(check (float 0.)) "earlier region: full utilization" 1.
+    idle.utilization;
+  let (), busy = Stats.Perf.time ~pool ~label:"busy" ~count unbalanced in
+  Alcotest.(check int) "jobs" 2 busy.jobs;
+  Alcotest.(check bool) "region wait folded in" true (busy.wait_s > 0.02);
+  Alcotest.(check bool) "region utilization folded in" true
+    (busy.utilization < 0.9);
+  Alcotest.(check bool) "wait in PERF line" true
+    (contains (Stats.Perf.machine_line busy) "wait_s=")
 
 let table_layout () =
   let out =
@@ -104,13 +109,11 @@ let table_layout () =
 
 let () =
   Alcotest.run "stats"
-    [ ("counter",
-       [ Alcotest.test_case "basics" `Quick counter_basics;
-         Alcotest.test_case "tie order" `Quick counter_ties_sort_by_key ]);
-      ("rate",
+    [ ("rate",
        [ Alcotest.test_case "formatting" `Quick rate_formatting;
          Alcotest.test_case "pct" `Quick rate_pct ]);
       ("perf",
        [ Alcotest.test_case "cycle counters" `Quick perf_cycle_counters;
-         Alcotest.test_case "pool counters" `Quick perf_pool_counters ]);
+         Alcotest.test_case "pool counters" `Quick perf_pool_counters;
+         Alcotest.test_case "time with a pool" `Quick perf_time_pool ]);
       ("table", [ Alcotest.test_case "layout" `Quick table_layout ]) ]
