@@ -1,6 +1,13 @@
-let popcount v =
-  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
-  go 0 v
+(* Branch-free SWAR count of the set bits of a 32-bit value: pairs,
+   nibbles and bytes are summed in place, and the multiply adds the
+   four byte counts into the top byte. *)
+let popcount32 v =
+  let v = v - ((v lsr 1) land 0x55555555) in
+  let v = (v land 0x33333333) + ((v lsr 2) land 0x33333333) in
+  let v = (v + (v lsr 4)) land 0x0F0F0F0F in
+  ((v * 0x01010101) land 0xFFFFFFFF) lsr 24
+
+let popcount v = popcount32 (v land 0xFFFFFFFF) + popcount32 (v lsr 32)
 
 let choose n k =
   if k < 0 || k > n then 0

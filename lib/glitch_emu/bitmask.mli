@@ -3,6 +3,9 @@
     framework (Section IV) to model unidirectional bit flips. *)
 
 val popcount : int -> int
+(** Number of set bits, counted without branches in two 32-bit
+    chunks. A negative argument counts all 63 bits of its
+    representation. *)
 
 val choose : int -> int -> int
 (** [choose n k] is the binomial coefficient; 0 when [k < 0 || k > n]. *)

@@ -57,47 +57,53 @@ type result = {
 }
 
 (* A small dedicated address space: snippets are a handful of
-   instructions and a few words of stack. Small regions keep the
-   65,536-run sweep cheap to reset. *)
+   instructions and a few words of stack. *)
 let flash_base = 0x08000000
 let flash_size = 0x400
 let sram_base = 0x20000000
 let sram_size = 0x400
 let stack_top = sram_base + sram_size - 16
 
-(* [pristine] is the address space right after loading the unperturbed
-   image: resetting between masks is two [Bytes.blit]s (flash including
-   the target halfword, plus zeroed SRAM) via [Memory.restore], instead
-   of [Memory.clear] + a per-byte [load_bytes]. The blit also undoes
-   any stray flash writes a glitched run may have performed, so the
-   fast reset is exactly as thorough as the old one. *)
-type rig = {
-  mem : Memory.t;
-  cpu : Cpu.t;
-  image : bytes;
-  target : int;  (* unperturbed target halfword *)
-  target_addr : int;  (* its flash address *)
-  pristine : Memory.snapshot;
-}
-
-let make_rig (case : Testcase.t) =
+let load_machine image =
   let mem = Memory.create () in
   Memory.map mem ~addr:flash_base ~size:flash_size;
   Memory.map mem ~addr:sram_base ~size:sram_size;
-  let image = Thumb.Encode.to_bytes case.Testcase.instrs in
   Memory.load_bytes mem ~addr:flash_base image;
-  { mem;
-    cpu = Cpu.create ~sp:stack_top ~pc:flash_base ();
-    image;
-    target = Testcase.target_word case;
-    target_addr = flash_base + (2 * case.target_index);
-    pristine = Memory.snapshot mem }
+  (mem, Cpu.create ~sp:stack_top ~pc:flash_base ())
+
+let target_addr (case : Testcase.t) = flash_base + (2 * case.target_index)
+
+let classify cpu (stop : Exec.stop) : category =
+  match stop with
+  | Exec.Breakpoint _ ->
+    if Cpu.get cpu Testcase.skip_reg = Testcase.skip_marker then Success
+    else No_effect
+  | Exec.Bad_read _ | Exec.Bad_write _ -> Bad_read
+  | Exec.Bad_fetch _ -> Bad_fetch
+  | Exec.Invalid_instruction _ -> Invalid_instruction
+  | Exec.Swi_trap _ | Exec.Step_limit -> Failed
+
+(* --- the reference kernel --------------------------------------------- *)
+
+(* The original protocol, kept deliberately independent of the sweep
+   fast path so differential tests can pin one against the other:
+   clear everything, reload the image, perturb, reset the CPU, and step
+   one instruction at a time from the reset vector. *)
+type reference = {
+  rcase : Testcase.t;
+  rimage : bytes;
+  rmem : Memory.t;
+  rcpu : Cpu.t;
+}
+
+let reference (case : Testcase.t) =
+  let rimage = Thumb.Encode.to_bytes case.instrs in
+  let rmem, rcpu = load_machine rimage in
+  { rcase = case; rimage; rmem; rcpu }
 
 (* Execute until stop, optionally treating a fetched 0x0000 as an
-   invalid instruction (Figure 2(c)'s modified ISA). Fetches go through
-   the unboxed memory path and the shared pre-decoded instruction
-   table, so a well-behaved run allocates nothing. *)
-let run_to_stop ~zero_is_invalid ~max_steps mem cpu =
+   invalid instruction (Figure 2(c)'s modified ISA). *)
+let run_stepwise ~zero_is_invalid ~max_steps mem cpu =
   let rec go remaining =
     if remaining = 0 then Exec.Step_limit
     else
@@ -112,51 +118,153 @@ let run_to_stop ~zero_is_invalid ~max_steps mem cpu =
   in
   go max_steps
 
-let classify cpu (stop : Exec.stop) : category =
-  match stop with
-  | Exec.Breakpoint _ ->
-    if Cpu.get cpu Testcase.skip_reg = Testcase.skip_marker then Success
-    else No_effect
-  | Exec.Bad_read _ | Exec.Bad_write _ -> Bad_read
-  | Exec.Bad_fetch _ -> Bad_fetch
-  | Exec.Invalid_instruction _ -> Invalid_instruction
-  | Exec.Swi_trap _ | Exec.Step_limit -> Failed
+let run_mask config r ~mask =
+  Memory.clear r.rmem;
+  Memory.load_bytes r.rmem ~addr:flash_base r.rimage;
+  let word = Fault_model.apply config.flip ~mask (Testcase.target_word r.rcase) in
+  Memory.write_u16_exn r.rmem (target_addr r.rcase) word;
+  Cpu.reset ~sp:stack_top ~pc:flash_base r.rcpu;
+  let stop =
+    run_stepwise ~zero_is_invalid:config.zero_is_invalid
+      ~max_steps:config.max_steps r.rmem r.rcpu
+  in
+  classify r.rcpu stop
+
+let run_one config case ~mask = run_mask config (reference case) ~mask
+
+(* --- the sweep kernel ------------------------------------------------- *)
+
+(* A rig is the machine state at the first fetch of the target, saved
+   once per (config, case) so each word starts there instead of at the
+   reset vector:
+
+   - [saved] holds the registers and flags after the [prefix] steps
+     that precede that fetch, and [budget] is [max_steps - prefix];
+   - memory is rewound to journal mark [mark] before each word, which
+     undoes the previous word's target write and every store its run
+     made, flash included (the rig has no devices, so the journal sees
+     every store).
+
+   The prefix is the same for every word only if it cannot observe the
+   target halfword. [make_rig] falls back to the reset state (a prefix
+   of 0 steps) when a prefix instruction reads memory, a prefix store
+   touches the target halfword, or the prefix stops or runs out of
+   steps before reaching the target. *)
+type rig = {
+  config : config;
+  mem : Memory.t;
+  cpu : Cpu.t;
+  journal : Memory.journal;
+  mark : int;
+  saved : Cpu.t;
+  budget : int;
+  target : int;  (* unperturbed target halfword *)
+  target_addr : int;  (* its flash address *)
+}
+
+(* Steps from the reset state to the first fetch of [target_addr], or
+   [None] when the prefix might depend on the target halfword. *)
+let run_prefix config mem cpu ~target_addr =
+  let rec go steps =
+    if Cpu.pc cpu = target_addr then Some steps
+    else if steps >= config.max_steps then None
+    else
+      match Memory.read_u16_exn mem (Cpu.pc cpu) with
+      | exception Memory.Fault _ -> None
+      | 0 when config.zero_is_invalid -> None
+      | w ->
+        let i = Thumb.Decode.table.(w) in
+        if Thumb.Instr.is_load i then None
+        else (
+          match Exec.execute mem cpu i with
+          | Exec.Running -> go (steps + 1)
+          | Exec.Stopped _ -> None)
+  in
+  go 0
+
+let make_rig config (case : Testcase.t) =
+  let mem, cpu = load_machine (Thumb.Encode.to_bytes case.instrs) in
+  let journal = Memory.journal_create () in
+  Memory.attach_journal mem journal;
+  let target_addr = target_addr case in
+  let rec touches_target i =
+    i < Memory.journal_length journal
+    && (let addr, _ = Memory.journal_entry journal i in
+        addr = target_addr || addr = target_addr + 1 || touches_target (i + 1))
+  in
+  let prefix =
+    match run_prefix config mem cpu ~target_addr with
+    | Some steps when not (touches_target 0) -> steps
+    | Some _ | None ->
+      Memory.undo_to mem journal 0;
+      Cpu.reset ~sp:stack_top ~pc:flash_base cpu;
+      0
+  in
+  { config; mem; cpu; journal;
+    mark = Memory.journal_length journal;
+    saved = Cpu.copy cpu;
+    budget = config.max_steps - prefix;
+    target = Testcase.target_word case;
+    target_addr }
+
+(* Zero halfwords from [pc] on, counting at most [limit]. Reads live
+   memory, so a glitched store into the padding ends the run where it
+   landed. *)
+let zero_run mem pc limit =
+  let rec go k =
+    if k = limit then k
+    else
+      match Memory.read_u16_exn mem (pc + (2 * k)) with
+      | 0 -> go (k + 1)
+      | _ -> k
+      | exception Memory.Fault _ -> k
+  in
+  go 1
+
+(* [run_stepwise] with zero padding collapsed. The 1 KB flash is
+   mostly 0x0000, which decodes to [movs r0, r0]; a run that lands in
+   it would step through every halfword until the budget or the end of
+   flash. [movs r0, r0] touches only r0 (unchanged), N and Z, so
+   executing it once leaves the state that k repeats leave, and the
+   run skips ahead by k halfwords and k steps. Fetches go through the
+   unboxed memory path and the shared pre-decoded instruction table,
+   so a well-behaved run allocates nothing. *)
+let run_to_stop ~zero_is_invalid ~max_steps mem cpu =
+  let rec go remaining =
+    if remaining <= 0 then Exec.Step_limit
+    else
+      let pc = Cpu.pc cpu in
+      match Memory.read_u16_exn mem pc with
+      | exception Memory.Fault (Memory.Unmapped a | Memory.Unaligned a) ->
+        Exec.Bad_fetch a
+      | 0 when zero_is_invalid -> Exec.Invalid_instruction 0
+      | 0 -> (
+        let k = zero_run mem pc remaining in
+        match Exec.execute mem cpu Thumb.Instr.nop with
+        | Exec.Running ->
+          Cpu.set_pc cpu (pc + (2 * k));
+          go (remaining - k)
+        | Exec.Stopped s -> s)
+      | w -> (
+        match Exec.execute mem cpu Thumb.Decode.table.(w) with
+        | Exec.Running -> go (remaining - 1)
+        | Exec.Stopped s -> s)
+  in
+  go max_steps
 
 (* The fast kernel: one perturbed word against a reused rig. The
-   outcome is a pure function of (config, case, word) — the rig is
-   restored to the same pristine state every time — which is what makes
-   the per-word memo below sound. *)
-let run_word config rig ~word =
-  Memory.restore rig.mem rig.pristine;
-  (match Memory.write_u16 rig.mem rig.target_addr word with
-  | Ok () -> ()
-  | Error _ -> assert false);
-  Cpu.reset ~sp:stack_top ~pc:flash_base rig.cpu;
+   outcome is a pure function of (config, case, word) — every word
+   starts from the same saved state — which is what makes the per-word
+   memo below sound. *)
+let run_word rig ~word =
+  Memory.undo_to rig.mem rig.journal rig.mark;
+  Memory.write_u16_exn rig.mem rig.target_addr word;
+  Cpu.blit ~src:rig.saved ~dst:rig.cpu;
   let stop =
-    run_to_stop ~zero_is_invalid:config.zero_is_invalid
-      ~max_steps:config.max_steps rig.mem rig.cpu
+    run_to_stop ~zero_is_invalid:rig.config.zero_is_invalid
+      ~max_steps:rig.budget rig.mem rig.cpu
   in
   classify rig.cpu stop
-
-(* The reference kernel: the original reset protocol (clear everything,
-   reload the image, perturb), no memo, a fresh machine per call. Kept
-   deliberately independent of the sweep fast path so differential
-   tests can pin one against the other. *)
-let run_mask config rig (case : Testcase.t) ~mask =
-  Memory.clear rig.mem;
-  Memory.load_bytes rig.mem ~addr:flash_base rig.image;
-  let word = Fault_model.apply config.flip ~mask (Testcase.target_word case) in
-  (match Memory.write_u16 rig.mem rig.target_addr word with
-  | Ok () -> ()
-  | Error _ -> assert false);
-  Cpu.reset ~sp:stack_top ~pc:flash_base rig.cpu;
-  let stop =
-    run_to_stop ~zero_is_invalid:config.zero_is_invalid
-      ~max_steps:config.max_steps rig.mem rig.cpu
-  in
-  classify rig.cpu stop
-
-let run_one config case ~mask = run_mask config (make_rig case) case ~mask
 
 let width = 16
 let ncat = List.length categories
@@ -198,23 +306,24 @@ let make_memo ?store () =
   let store = match store with Some s -> s | None -> make_store () in
   { store; executed = 0; memoized = 0 }
 
-let classify_word config rig memo ~word =
+let classify_word rig memo ~word =
   let c = Runtime.Store.get memo.store word in
   if c >= 0 then begin
     memo.memoized <- memo.memoized + 1;
     c
   end
   else begin
-    let c = category_index (run_word config rig ~word) in
+    let c = category_index (run_word rig ~word) in
     Runtime.Store.set memo.store word c;
     memo.executed <- memo.executed + 1;
     c
   end
 
-let record config rig memo t ~mask =
-  let flipped = Fault_model.flipped_bits config.flip ~width ~mask in
-  let word = Fault_model.apply config.flip ~mask rig.target in
-  let idx = classify_word config rig memo ~word in
+(* [flipped] is the mask's Figure 2 weight ([Fault_model.flipped_bits]),
+   passed in because the sequential sweep already knows it. *)
+let record rig memo t ~flipped ~mask =
+  let word = Fault_model.apply rig.config.flip ~mask rig.target in
+  let idx = classify_word rig memo ~word in
   t.by_weight.(flipped).(idx) <- t.by_weight.(flipped).(idx) + 1;
   if flipped > 0 then t.totals.(idx) <- t.totals.(idx) + 1
 
@@ -229,10 +338,12 @@ let merge_into dst (src : tally) =
 
 (* The single-domain path: one rig, one memo, masks in weight order. *)
 let run_case_seq ?store config (case : Testcase.t) =
-  let rig = make_rig case in
+  let rig = make_rig config case in
   let memo = make_memo ?store () in
   let t = make_tally () in
-  Bitmask.iter_all ~width (fun ~weight:_ ~mask -> record config rig memo t ~mask);
+  Bitmask.iter_all ~width (fun ~weight ~mask ->
+      let flipped = Fault_model.flipped_of_weight config.flip ~width ~weight in
+      record rig memo t ~flipped ~mask);
   { case; config; by_weight = t.by_weight; totals = t.totals;
     stats = { executed = memo.executed; memoized = memo.memoized } }
 
@@ -252,7 +363,7 @@ let run_case_in ?store pool config (case : Testcase.t) =
   let store = match store with Some s -> s | None -> make_store () in
   let parts =
     Runtime.Pool.map_workers pool (fun _wid ->
-        let rig = make_rig case in
+        let rig = make_rig config case in
         let memo = make_memo ~store () in
         let t = make_tally () in
         let rec drain () =
@@ -260,7 +371,8 @@ let run_case_in ?store pool config (case : Testcase.t) =
           | None -> ()
           | Some (lo, hi) ->
             for mask = lo to hi - 1 do
-              record config rig memo t ~mask
+              let flipped = Fault_model.flipped_bits config.flip ~width ~mask in
+              record rig memo t ~flipped ~mask
             done;
             drain ()
         in
@@ -300,12 +412,12 @@ type sweep = {
 }
 
 let sweep config (case : Testcase.t) =
-  let rig = make_rig case in
+  let rig = make_rig config case in
   let memo = make_memo () in
   let categories =
     Array.init (1 lsl width) (fun mask ->
         let word = Fault_model.apply config.flip ~mask rig.target in
-        category_of_index (classify_word config rig memo ~word))
+        category_of_index (classify_word rig memo ~word))
   in
   { categories;
     by_word =

@@ -5,11 +5,14 @@
     Figure 2.
 
     The sweep kernel exploits the fact that classification is a pure
-    function of the {e perturbed word} (the rig is restored to an
-    identical pristine state before every run): the And/Or fault models
-    map 65,536 masks onto far fewer distinct words, so each distinct
-    word is executed once and every other mask replays the memoized
-    category. {!sweep_stats} reports how much work that saved. *)
+    function of the {e perturbed word}: every word starts from the same
+    saved machine state, taken once at the first fetch of the target
+    (or at reset, when the setup code could observe the target), and
+    memory is rewound through a write journal between words. The
+    And/Or fault models map 65,536 masks onto far fewer distinct words,
+    so each distinct word is executed once and every other mask replays
+    the memoized category. {!sweep_stats} reports how much work that
+    saved. *)
 
 (** Outcome classification, matching Figure 2's legend. *)
 type category =
@@ -75,9 +78,19 @@ type result = {
 
 val run_one : config -> Testcase.t -> mask:int -> category
 (** Run a single perturbed execution on a fresh machine, via the
-    original reference reset protocol (clear, reload, perturb) with no
-    memoization. This is the oracle that differential tests pin the
-    memoized sweep kernel against. *)
+    original reference reset protocol (clear, reload, perturb, reset
+    the CPU, step one instruction at a time from the reset vector) with
+    no memoization, saved state or padding collapse. This is the oracle
+    that differential tests pin the memoized sweep kernel against. *)
+
+type reference
+(** A reusable machine for the reference protocol of {!run_one}. *)
+
+val reference : Testcase.t -> reference
+
+val run_mask : config -> reference -> mask:int -> category
+(** [run_one] on a reused machine: every call clears and reloads it, so
+    the result equals [run_one config case ~mask]. *)
 
 val make_store : unit -> Runtime.Store.t
 (** A fresh empty word-outcome store ([2^16] slots). A store caches
@@ -93,7 +106,7 @@ val run_case :
 
     With a [pool] of more than one worker the mask space is split into
     contiguous chunks drained by worker domains, each against a private
-    rig whose memory map and CPU are reused across masks, all sharing
+    rig (its own saved state, memory and journal), all sharing
     one lock-free word-outcome store
     ({!Runtime.Store}). Per-domain counts are merged with plain
     integer addition — commutative — so [by_weight] and [totals] are

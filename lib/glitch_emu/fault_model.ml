@@ -12,7 +12,8 @@ let apply flip ~mask word =
 let identity_mask flip ~width =
   match flip with And -> (1 lsl width) - 1 | Or | Xor -> 0
 
+let flipped_of_weight flip ~width ~weight =
+  match flip with And -> width - weight | Or | Xor -> weight
+
 let flipped_bits flip ~width ~mask =
-  match flip with
-  | And -> width - Bitmask.popcount mask
-  | Or | Xor -> Bitmask.popcount mask
+  flipped_of_weight flip ~width ~weight:(Bitmask.popcount mask)

@@ -24,3 +24,6 @@ val flipped_bits : flip -> width:int -> mask:int -> int
 (** How many bit positions the mask can possibly change: for [And] the
     number of zeros in the mask, for [Or]/[Xor] the number of ones. This
     is the x-axis of Figure 2. *)
+
+val flipped_of_weight : flip -> width:int -> weight:int -> int
+(** {!flipped_bits} of a mask with [weight] set bits. *)

@@ -36,6 +36,13 @@ let set_pc t v = t.regs.(15) <- mask32 v land lnot 1
 
 let copy t = { t with regs = Array.copy t.regs }
 
+let blit ~src ~dst =
+  Array.blit src.regs 0 dst.regs 0 16;
+  dst.n <- src.n;
+  dst.z <- src.z;
+  dst.c <- src.c;
+  dst.v <- src.v
+
 let pp ppf t =
   for i = 0 to 15 do
     if i mod 4 = 0 && i > 0 then Fmt.cut ppf ();

@@ -30,6 +30,12 @@ val pc : t -> int
 
 val set_pc : t -> int -> unit
 val copy : t -> t
+
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst]'s registers and flags with [src]'s, in place: a
+    rig that restarts many runs from one saved state allocates nothing
+    per run. *)
+
 val pp : t Fmt.t
 
 val condition_holds : t -> Thumb.Instr.cond -> bool

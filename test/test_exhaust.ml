@@ -11,10 +11,6 @@
      tables bit-for-bit from a one-cycle persistent-mode exhaustive run,
      sequentially and with a 4-domain pool. *)
 
-let popcount x =
-  let rec go n x = if x = 0 then n else go (n + 1) (x land (x - 1)) in
-  go 0 x
-
 (* --- State: canonical whole-machine keys --------------------------------- *)
 
 let sram = 0x20000000
@@ -284,7 +280,7 @@ let exhaust_fig2_tables ?pool flip ~zero_is_invalid case =
   let totals = Array.make ncat 0 in
   Array.iteri
     (fun p (_model, bits, _mask) ->
-      let w = popcount bits in
+      let w = Glitch_emu.Bitmask.popcount bits in
       let c = Bytes.get_uint8 verdicts p in
       by_weight.(w).(c) <- by_weight.(w).(c) + 1;
       if w > 0 then totals.(c) <- totals.(c) + 1)

@@ -41,6 +41,19 @@ let prop_weight_enumeration =
       && List.for_all (fun m -> Bitmask.popcount m = weight) masks
       && List.sort compare masks = masks)
 
+(* The bit-at-a-time loop [Bitmask.popcount] replaced. *)
+let popcount_loop v =
+  let rec go acc v = if v = 0 then acc else go (acc + (v land 1)) (v lsr 1) in
+  go 0 v
+
+let prop_popcount_matches_loop =
+  QCheck.Test.make ~name:"popcount agrees with the bit loop" ~count:1000
+    QCheck.(
+      oneof
+        [ pos_int; small_nat; map (fun k -> (1 lsl k) - 1) (int_bound 62);
+          map (fun k -> 1 lsl k) (int_bound 61) ])
+    (fun v -> Bitmask.popcount v = popcount_loop v)
+
 (* --- fault models ---------------------------------------------------------- *)
 
 let fault_semantics () =
@@ -428,6 +441,112 @@ let memo_saves_most_executions () =
   Alcotest.(check bool) "memo serves the large majority" true
     (stats.Campaign.memoized > 60000)
 
+(* --- word-exhaustive differential ----------------------------------------- *)
+
+(* Under XOR every mask perturbs the target into a distinct word, so one
+   sweep fills the whole word memo. Each of its 65,536 entries must
+   equal the reference protocol's outcome for that word, run on one
+   reused reference machine. *)
+let check_every_word name config case =
+  let s = Campaign.sweep config case in
+  let r = Campaign.reference case in
+  let target = Testcase.target_word case in
+  let show = function
+    | Some c -> Campaign.category_name c
+    | None -> "none"
+  in
+  for word = 0 to 0xFFFF do
+    let expected = Campaign.run_mask config r ~mask:(word lxor target) in
+    let got = s.Campaign.by_word.(word) in
+    if got <> Some expected then
+      Alcotest.failf "%s: word 0x%04x: sweep %s, reference %s" name word
+        (show got) (show (Some expected))
+  done
+
+let xor_config ?(zero_is_invalid = false) ?(max_steps = 200) () =
+  { (Campaign.default_config Fault_model.Xor) with zero_is_invalid; max_steps }
+
+let all_cases = Testcase.all_conditional_branches @ Testcase.non_branch_cases
+
+let every_word_matches_reference () =
+  Alcotest.(check int) "17 cases" 17 (List.length all_cases);
+  List.iter
+    (fun (case : Testcase.t) ->
+      List.iter
+        (fun zero_is_invalid ->
+          check_every_word
+            (Printf.sprintf "%s zero_is_invalid=%b" case.name zero_is_invalid)
+            (xor_config ~zero_is_invalid ())
+            case)
+        [ false; true ])
+    all_cases
+
+(* Snippets whose setup observes the target halfword, so the sweep
+   kernel must start every word from the reset vector: one loads the
+   target (its high byte becomes r5, so a state saved after the load
+   would misclassify the words 0xADxx), one overwrites it with 0x0000
+   (every word then behaves like the unperturbed store target). *)
+let synthetic name source =
+  { Testcase.name; source; instrs = Thumb.Asm.assemble source; target_index = 2 }
+
+let prefix_loads_target =
+  synthetic "LDRH-PREFIX"
+    "mov r3, pc\nldrh r4, [r3, #0]\nb taken\nmovs r6, #0\ntaken:\nlsrs r5, r4, #8\nmovs r6, #0xAA\nbkpt #0"
+
+let prefix_stores_target =
+  synthetic "STRH-PREFIX"
+    "mov r3, pc\nstrh r7, [r3, #0]\nb taken\nmovs r5, #0xAD\ntaken:\nmovs r6, #0xAA\nbkpt #0"
+
+let prefix_observing_target_falls_back () =
+  List.iter
+    (fun (case : Testcase.t) ->
+      List.iter
+        (fun zero_is_invalid ->
+          check_every_word
+            (Printf.sprintf "%s zero_is_invalid=%b" case.name zero_is_invalid)
+            (xor_config ~zero_is_invalid ())
+            case)
+        [ false; true ])
+    [ prefix_loads_target; prefix_stores_target ];
+  (* the load really reaches the outcome: some words succeed only
+     because the setup read them *)
+  let s = Campaign.sweep (xor_config ()) prefix_loads_target in
+  Alcotest.(check (option string)) "word 0xAD00 reads back as the marker"
+    (Some "Success")
+    (Option.map Campaign.category_name s.Campaign.by_word.(0xAD00))
+
+(* The step budget around the setup prefix (the target's index in
+   these straight-line snippets): exhausted before the target, exactly
+   at it, and one step into it. *)
+let step_budget_edges () =
+  List.iter
+    (fun (case : Testcase.t) ->
+      let p = case.target_index in
+      List.iter
+        (fun max_steps ->
+          check_every_word
+            (Printf.sprintf "%s max_steps=%d" case.name max_steps)
+            (xor_config ~max_steps ())
+            case)
+        (List.sort_uniq compare [ 1; p; p + 1 ]))
+    [ beq_case; Testcase.conditional_branch Thumb.Instr.VS; Testcase.load_case ]
+
+(* With a budget larger than the flash, a run through the zero padding
+   ends by fetching past the end of flash (0x08000400) instead of
+   running out of steps. *)
+let padding_runs_reach_end_of_flash () =
+  let config = xor_config ~max_steps:1000 () in
+  check_every_word "BEQ max_steps=1000" config beq_case;
+  (* [b] to 0x08000108: 380 zero halfwords before the end of flash *)
+  let mask = 0xE080 lxor Testcase.target_word beq_case in
+  let r = Campaign.reference beq_case in
+  Alcotest.(check string) "200 steps run out in the padding" "Failed"
+    (Campaign.category_name (Campaign.run_mask (xor_config ()) r ~mask));
+  Alcotest.(check string) "1000 steps fetch past the end of flash" "Bad Fetch"
+    (Campaign.category_name (Campaign.run_mask config r ~mask));
+  Alcotest.(check string) "the sweep agrees" "Bad Fetch"
+    (Campaign.category_name (Campaign.sweep config beq_case).Campaign.categories.(mask))
+
 (* --- shared store --------------------------------------------------------- *)
 
 let shared_store_warm_run_executes_nothing () =
@@ -523,7 +642,8 @@ let prop_flipped_bits_match_apply =
 let () =
   let props =
     List.map Qseed.to_alcotest
-      [ prop_weight_enumeration; prop_classification_deterministic ]
+      [ prop_weight_enumeration; prop_classification_deterministic;
+        prop_popcount_matches_loop ]
   in
   let campaign_props =
     List.map Qseed.to_alcotest
@@ -577,4 +697,12 @@ let () =
            shared_store_warm_run_executes_nothing;
          Alcotest.test_case "parallel stats conserve masks" `Slow
            parallel_stats_conserve_masks ]);
+      ("word-exhaustive",
+       [ Alcotest.test_case "every word of all 17 cases = reference" `Slow
+           every_word_matches_reference;
+         Alcotest.test_case "prefix observing the target falls back" `Slow
+           prefix_observing_target_falls_back;
+         Alcotest.test_case "step budget edges" `Slow step_budget_edges;
+         Alcotest.test_case "padding runs reach end of flash" `Slow
+           padding_runs_reach_end_of_flash ]);
       ("campaign-properties", campaign_props) ]

@@ -203,6 +203,37 @@ let service_matches_direct_campaign () =
         got)
     Glitch_emu.Campaign.categories
 
+(* --- step budgets ----------------------------------------------------------- *)
+
+(* Budgets that end the run before the target (BVS has four setup
+   instructions), exactly at it (BEQ has two) and one instruction into
+   it. The expected tables are pinned from the stepwise kernel that ran
+   every word from the reset vector. *)
+let tiny_step_budgets_keep_tables () =
+  let svc = Service.create () in
+  let member name resp =
+    match Json.member name resp with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.failf "response lacks %S" name
+  in
+  List.iter
+    (fun (line, totals, by_weight) ->
+      let resp = svc_request svc line in
+      check_ok resp;
+      Alcotest.(check string) (line ^ " totals") totals (member "totals" resp);
+      Alcotest.(check string) (line ^ " by_weight") by_weight
+        (member "by_weight" resp))
+    [
+      ( {|{"id":1,"case":"beq","max_steps":2}|},
+        {|{"Success":0,"Bad Read":0,"Bad Fetch":0,"Invalid Instruction":0,"Failed":65535,"No Effect":0}|},
+        {|[[0,0,0,0,1,0],[0,0,0,0,16,0],[0,0,0,0,120,0],[0,0,0,0,560,0],[0,0,0,0,1820,0],[0,0,0,0,4368,0],[0,0,0,0,8008,0],[0,0,0,0,11440,0],[0,0,0,0,12870,0],[0,0,0,0,11440,0],[0,0,0,0,8008,0],[0,0,0,0,4368,0],[0,0,0,0,1820,0],[0,0,0,0,560,0],[0,0,0,0,120,0],[0,0,0,0,16,0],[0,0,0,0,1,0]]|} );
+      ( {|{"id":2,"case":"bvs","model":"xor","max_steps":2}|},
+        {|{"Success":0,"Bad Read":0,"Bad Fetch":0,"Invalid Instruction":0,"Failed":65535,"No Effect":0}|},
+        {|[[0,0,0,0,1,0],[0,0,0,0,16,0],[0,0,0,0,120,0],[0,0,0,0,560,0],[0,0,0,0,1820,0],[0,0,0,0,4368,0],[0,0,0,0,8008,0],[0,0,0,0,11440,0],[0,0,0,0,12870,0],[0,0,0,0,11440,0],[0,0,0,0,8008,0],[0,0,0,0,4368,0],[0,0,0,0,1820,0],[0,0,0,0,560,0],[0,0,0,0,120,0],[0,0,0,0,16,0],[0,0,0,0,1,0]]|} );
+      ( {|{"id":3,"case":"beq","model":"xor","max_steps":3}|},
+        {|{"Success":0,"Bad Read":24768,"Bad Fetch":0,"Invalid Instruction":5120,"Failed":35391,"No Effect":256}|},
+        {|[[0,0,0,0,1,0],[0,1,0,0,15,0],[0,28,0,0,92,0],[0,202,0,5,353,0],[0,780,0,47,993,0],[0,1975,0,202,2190,1],[0,3580,0,526,3894,8],[0,4850,0,926,5636,28],[0,5016,0,1162,6636,56],[0,4119,0,1064,6187,70],[0,2527,0,712,4713,56],[0,1173,0,341,2826,28],[0,403,0,111,1298,8],[0,98,0,22,439,1],[0,15,0,2,103,0],[0,1,0,0,15,0],[0,0,0,0,1,0]]|} ) ]
+
 (* --- request errors -------------------------------------------------------- *)
 
 let errors_answer_instead_of_crashing () =
@@ -250,6 +281,9 @@ let () =
            corrupted_cache_entry_reruns;
          Alcotest.test_case "matches direct campaign" `Quick
            service_matches_direct_campaign ]);
+      ("step-budget",
+       [ Alcotest.test_case "tiny step budgets keep tables" `Quick
+           tiny_step_budgets_keep_tables ]);
       ("errors",
        [ Alcotest.test_case "errors answer, never crash" `Quick
            errors_answer_instead_of_crashing;
